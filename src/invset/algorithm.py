@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .ellipsoid import Ellipsoid, mvee
-from .hybrid import PoincareEvaluationError, PoincareMap
+from .hybrid import PoincareMap
 from .pac import PacCertificate, binomial_tail_inversion
 from .rbf import RBFSet, fit_rbf, sample_uniform_rbf_with_volume
 
-_CHUNK = 32  # fixed task granularity so results never depend on worker count
 _VERIFY_CONTEXT_BASE = 1 << 32  # keeps k-step streams apart from run streams
 
 
@@ -138,59 +137,27 @@ class RbfOptions:
     coverage: float = 4.0
 
 
-def _poincare_chunk(args):
-    """Evaluate k map steps on a chunk of points; failures become NaN rows."""
-    pmap, chunk, k = args
-    out = np.full((chunk.shape[0], pmap.reduced_dim), np.nan)
-    ok = np.zeros(chunk.shape[0], dtype=bool)
-    for i, y in enumerate(chunk):
-        try:
-            z = y
-            for _ in range(k):
-                z = pmap(z)
-            out[i] = z
-            ok[i] = True
-        except PoincareEvaluationError:
-            pass
-    return out, ok
-
-
-def evaluate_map(pmap: PoincareMap, points: np.ndarray, k: int = 1, executor=None):
+def evaluate_map(pmap: PoincareMap, points: np.ndarray, k: int = 1):
     """Apply k steps of the map to every row of `points`.
 
-    Uses the vectorized evaluator when the map provides one, otherwise
-    evaluates fixed-size chunks (optionally on a process pool; chunking is
-    independent of the pool size, so results are identical at any worker
-    count).  Returns (outputs, ok) where failed rows are NaN with ok False.
+    Each step maps the rows still alive in one batch call; a row that fails
+    stays failed.  Returns (outputs, ok) where failed rows are NaN with ok
+    False.
     """
     points = np.asarray(points, dtype=float)
-    if pmap.batch_evaluator is not None:
-        out = points.copy()
-        active = np.ones(points.shape[0], dtype=bool)
-        for _ in range(k):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            stepped, step_ok = pmap.batch_evaluator(out[idx])
-            stepped = np.asarray(stepped, dtype=float)
-            step_ok = np.asarray(step_ok, dtype=bool) & np.all(
-                np.isfinite(stepped), axis=1
-            )
-            out[idx] = stepped
-            active[idx] = step_ok
-        out[~active] = np.nan
-        return out, active
-    tasks = [
-        (pmap, points[start : start + _CHUNK], k)
-        for start in range(0, points.shape[0], _CHUNK)
-    ]
-    if executor is None:
-        results = [_poincare_chunk(t) for t in tasks]
-    else:
-        results = list(executor.map(_poincare_chunk, tasks))
-    out = np.concatenate([r[0] for r in results], axis=0)
-    ok = np.concatenate([r[1] for r in results], axis=0)
-    return out, ok
+    out = points.copy()
+    active = np.ones(points.shape[0], dtype=bool)
+    for _ in range(k):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        stepped, step_ok = pmap.batch_evaluator(out[idx])
+        stepped = np.asarray(stepped, dtype=float)
+        step_ok = np.asarray(step_ok, dtype=bool) & np.all(np.isfinite(stepped), axis=1)
+        out[idx] = stepped
+        active[idx] = step_ok
+    out[~active] = np.nan
+    return out, active
 
 
 class _EllipsoidCandidate:
@@ -265,7 +232,6 @@ def run(
     representation: str = "ellipsoid",
     mvee_tol: float = 1e-7,
     rbf_options: RbfOptions = None,
-    executor=None,
     store_samples: bool = True,
 ) -> RunResult:
     """Identify a finite-step invariant set with a fresh-sample certificate.
@@ -298,10 +264,22 @@ def run(
     for iteration in range(1, max_iters + 1):
         started = time.perf_counter()
         points, volume = candidate.sample(n_samples, seed, iteration)
-        images, ok = evaluate_map(pmap, points, 1, executor)
+        images, ok = evaluate_map(pmap, points, 1)
         batch = partition(candidate, points, images, ok)
         eps_star = binomial_tail_inversion(batch.violations, n_samples, beta)
-        wall_ms = (time.perf_counter() - started) * 1e3
+        violation_history.append(batch.violations)
+        certified = eps_star <= eps_target
+        if not certified:
+            retained = batch.retained_inputs
+            if retained.shape[0] < candidate.dim + 1:
+                raise CollapseError(
+                    f"candidate collapsed at iteration {iteration}: only "
+                    f"{retained.shape[0]} retained inputs (need {candidate.dim + 1}); "
+                    f"violation history {violation_history}; last volume {volume:.3e}. "
+                    "The initial set likely fails to contain the invariant set - "
+                    "increase its scale (contraction factor r)."
+                )
+            refitted = candidate.refit(retained)
         records.append(
             IterationRecord(
                 iteration=iteration,
@@ -309,14 +287,13 @@ def run(
                 volume=volume,
                 violations=batch.violations,
                 epsilon_star=eps_star,
-                wall_ms=wall_ms,
+                wall_ms=(time.perf_counter() - started) * 1e3,
                 batch=batch if store_samples else None,
             )
         )
-        violation_history.append(batch.violations)
         if eps_star < records[best_index].epsilon_star:
             best_index = len(records) - 1
-        if eps_star <= eps_target:
+        if certified:
             certificate = PacCertificate(
                 violations=batch.violations,
                 samples=n_samples,
@@ -326,16 +303,7 @@ def run(
             )
             history = RunHistory(records, "certified", certificate, iteration)
             return RunResult(candidate.current, certificate, history)
-        retained = batch.retained_inputs
-        if retained.shape[0] < candidate.dim + 1:
-            raise CollapseError(
-                f"candidate collapsed at iteration {iteration}: only "
-                f"{retained.shape[0]} retained inputs (need {candidate.dim + 1}); "
-                f"violation history {violation_history}; last volume {volume:.3e}. "
-                "The initial set likely fails to contain the invariant set - "
-                "increase its scale (contraction factor r)."
-            )
-        candidate = candidate.refit(retained)
+        candidate = refitted
 
     best = records[best_index]
     certificate = PacCertificate(
@@ -357,7 +325,6 @@ def verify_k_step(
     beta: float,
     seed: int,
     *,
-    executor=None,
     coverage: float = 4.0,
 ) -> list:
     """Certify k-step containment for each k in 1..k_max.
@@ -375,7 +342,7 @@ def verify_k_step(
     results = []
     for k in range(1, k_max + 1):
         points, _ = candidate.sample(n_samples, seed, _VERIFY_CONTEXT_BASE + k)
-        images, ok = evaluate_map(pmap, points, k, executor)
+        images, ok = evaluate_map(pmap, points, k)
         batch = partition(candidate, points, images, ok)
         eps_star = binomial_tail_inversion(batch.violations, n_samples, beta)
         results.append(

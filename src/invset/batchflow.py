@@ -1,14 +1,16 @@
-"""Vectorized return-map evaluation for hybrid systems with batch callbacks.
+"""The return-map engine: hybrid flows for a batch of states at once.
 
-Same contract as `hybrid.poincare_step` (reset, flow to the next accepted
-downward guard crossing, project to the chart) but evaluated for a whole
-batch of section points at once on the batched RK5(4) stepper.  Every row is
-integrated with its own adaptive steps, so each result is a pure function of
-its own input: evaluating points one at a time, in any grouping, or in one
-call gives identical numbers.
+A return map resets each section point, flows it to the next accepted
+downward guard crossing and projects it to the chart, for a whole batch of
+points on the batched RK5(4) stepper.  Every row is integrated with its own
+adaptive steps, so each result is a pure function of its own input:
+evaluating points one at a time, in any grouping, or in one call gives
+identical numbers.  `hybrid_callbacks` lifts a scalar
+`HybridSystemDefinition` onto the engine by looping over rows.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -17,10 +19,12 @@ from scipy.optimize import brentq
 from ._dopri import BatchStepper
 from .hybrid import (
     GuardNotReached,
+    HybridSystemDefinition,
     ImmediateReimpact,
     IntegrationOptions,
     InvalidSectionPoint,
     PoincareMap,
+    _hdot,
 )
 
 _RUNNING, _DONE, _FAIL_TIME, _FAIL_ESCAPE, _FAIL_REIMPACT, _FAIL_INVALID = range(6)
@@ -42,14 +46,42 @@ class BatchHybridCallbacks:
     escape_condition: Callable[[np.ndarray], np.ndarray] = None  # (n, sd) -> bool (n,)
 
 
+def _by_rows(fn, dtype, states):
+    return np.array([fn(x) for x in states], dtype=dtype)
+
+
+def hybrid_callbacks(system: HybridSystemDefinition) -> BatchHybridCallbacks:
+    """Batch callbacks that apply the scalar system functions row by row.
+    Without `guard_velocity`, hdot is a central difference of the guard along
+    the flow."""
+
+    def rows(fn, dtype=float):
+        return None if fn is None else partial(_by_rows, fn, dtype)
+
+    return BatchHybridCallbacks(
+        state_dim=system.state_dim,
+        reduced_dim=system.reduced_dim,
+        vector_field=rows(system.vector_field),
+        guard=rows(system.guard_function),
+        guard_velocity=rows(partial(_hdot, system)),
+        reset=rows(system.reset),
+        chart=rows(system.chart),
+        chart_inverse=rows(system.chart_inverse),
+        event_filter=rows(system.event_filter, bool),
+        escape_condition=rows(system.escape_condition, bool),
+    )
+
+
 def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: IntegrationOptions):
     """Flow every row to its accepted guard crossing.
 
-    Returns (states, status): crossing states for rows with status _DONE.
+    Returns (states, times, status): crossing states and times for rows with
+    status _DONE.
     """
     n = x_plus.shape[0]
     status = np.full(n, _RUNNING, dtype=np.int8)
     hit_state = np.full((n, cb.state_dim), np.nan)
+    hit_time = np.full(n, np.nan)
     h_prev = cb.guard(x_plus)
     bad = ~np.isfinite(h_prev) | (h_prev < -options.guard_tol)
     status[bad] = _FAIL_INVALID
@@ -100,6 +132,7 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
                 else:
                     status[row] = _DONE
                     hit_state[row] = x_root
+                    hit_time[row] = t_root
                 stepper.finish(np.array([row]))
         still = stepper.active[rows]
         h_prev[rows[still]] = h_now[still]
@@ -108,7 +141,7 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
             status[timed_out] = _FAIL_TIME
             stepper.finish(np.flatnonzero(timed_out))
     status[status == _RUNNING] = _FAIL_TIME
-    return hit_state, status
+    return hit_state, hit_time, status
 
 
 _FAILURE_MESSAGES = {
@@ -119,9 +152,24 @@ _FAILURE_MESSAGES = {
 }
 
 
+def _raise_failure(code):
+    exc, message = _FAILURE_MESSAGES[int(code)]
+    raise exc(message)
+
+
+def flow_to_guard(cb: BatchHybridCallbacks, x_plus, options: IntegrationOptions):
+    """(x_minus, T) of the accepted crossing from one state `x_plus`."""
+    states, times, status = _flow_batch(cb, np.asarray(x_plus, dtype=float)[None, :], options)
+    if status[0] == _FAIL_INVALID:
+        raise GuardNotReached("initial state outside the domain")
+    if status[0] != _DONE:
+        _raise_failure(status[0])
+    return states[0], float(times[0])
+
+
 @dataclass(frozen=True, eq=False)
 class VectorizedReturnMap:
-    """Picklable return-map evaluator running on the batched stepper."""
+    """Return-map evaluator running on the batched stepper."""
 
     callbacks: BatchHybridCallbacks
     options: IntegrationOptions
@@ -143,7 +191,7 @@ class VectorizedReturnMap:
         live = ~invalid
         if live.any():
             x_plus = cb.reset(x_pre[live])
-            hit, flow_status = _flow_batch(cb, x_plus, self.options)
+            hit, _, flow_status = _flow_batch(cb, x_plus, self.options)
             status[live] = flow_status
             done_local = flow_status == _DONE
             live_rows = np.flatnonzero(live)
@@ -153,8 +201,7 @@ class VectorizedReturnMap:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         out, ok, status = self.evaluate_batch(np.asarray(y, dtype=float)[None, :])
         if not ok[0]:
-            exc, message = _FAILURE_MESSAGES[int(status[0])]
-            raise exc(message)
+            _raise_failure(status[0])
         return out[0]
 
     def batch(self, points: np.ndarray):
@@ -170,5 +217,4 @@ def vectorized_poincare_map(
         reduced_dim=callbacks.reduced_dim,
         evaluator=evaluator,
         batch_evaluator=evaluator.batch,
-        evaluation_budget=options.max_flow_time,
     )

@@ -10,7 +10,8 @@ systems                list built-in systems and their default parameters
 A run directory contains config-echo.json, result.json, history.csv,
 timings.csv, and samples/iter_####.csv.  Everything except timings.csv is a
 pure function of (config, seed): re-running a command with the same inputs
-reproduces those files byte for byte at any --threads setting.
+reproduces those files byte for byte.  `--threads` is accepted for
+compatibility and has no effect.
 """
 
 import argparse
@@ -18,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -235,13 +235,7 @@ def _initial_ellipsoid(cfg: dict):
     return initial, fixed_point, [float(v) for v in magnitudes]
 
 
-def _make_executor(threads: int, pmap):
-    if threads > 1 and pmap.batch_evaluator is None:
-        return ProcessPoolExecutor(max_workers=threads)
-    return None
-
-
-def cmd_run(config_path, threads: int) -> int:
+def cmd_run(config_path) -> int:
     cfg = load_config(config_path)
     outdir = _resolve_output_dir(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -249,27 +243,21 @@ def cmd_run(config_path, threads: int) -> int:
 
     bundle = _build_from_config(cfg)
     initial, fixed_point, floquet = _initial_ellipsoid(cfg)
-    executor = _make_executor(threads, bundle.poincare_map)
-    try:
-        result = run(
-            bundle.poincare_map,
-            initial,
-            cfg["N"],
-            cfg["eps_target"],
-            cfg["beta"],
-            cfg["max_iters"],
-            cfg["seed"],
-            representation=cfg["representation"],
-            rbf_options=RbfOptions(
-                m=int(cfg["rbf"]["m"]),
-                gamma=float(cfg["rbf"]["gamma"]),
-                coverage=float(cfg["rbf"]["coverage"]),
-            ),
-            executor=executor,
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    result = run(
+        bundle.poincare_map,
+        initial,
+        cfg["N"],
+        cfg["eps_target"],
+        cfg["beta"],
+        cfg["max_iters"],
+        cfg["seed"],
+        representation=cfg["representation"],
+        rbf_options=RbfOptions(
+            m=int(cfg["rbf"]["m"]),
+            gamma=float(cfg["rbf"]["gamma"]),
+            coverage=float(cfg["rbf"]["coverage"]),
+        ),
+    )
 
     payload = {
         "system": cfg["system"],
@@ -294,7 +282,7 @@ def cmd_run(config_path, threads: int) -> int:
     return EXIT_OK if result.history.termination == "certified" else EXIT_BUDGET
 
 
-def cmd_verify(result_path, k_max: int, n_samples: int, seed: int, threads: int) -> int:
+def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
     result_file = Path(result_path)
     try:
         payload = json.loads(result_file.read_text())
@@ -306,21 +294,15 @@ def cmd_verify(result_path, k_max: int, n_samples: int, seed: int, threads: int)
     cfg = payload["config"]
     invariant_set = _set_from_payload(payload["invariant_set"])
     bundle = _build_from_config(cfg)
-    executor = _make_executor(threads, bundle.poincare_map)
-    try:
-        records = verify_k_step(
-            bundle.poincare_map,
-            invariant_set,
-            n_samples,
-            k_max,
-            float(cfg["beta"]),
-            seed,
-            executor=executor,
-            coverage=float(cfg["rbf"]["coverage"]),
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    records = verify_k_step(
+        bundle.poincare_map,
+        invariant_set,
+        n_samples,
+        k_max,
+        float(cfg["beta"]),
+        seed,
+        coverage=float(cfg["rbf"]["coverage"]),
+    )
     lines = ["k,violations,epsilon_star"]
     for rec in records:
         lines.append(f"{rec.steps},{rec.violations},{_float_cell(rec.epsilon_star)}")
@@ -331,7 +313,7 @@ def cmd_verify(result_path, k_max: int, n_samples: int, seed: int, threads: int)
     return EXIT_OK
 
 
-def cmd_study(config_path, runs: int, threads: int) -> int:
+def cmd_study(config_path, runs: int) -> int:
     if runs < 2:
         raise ConfigError("study needs runs >= 2")
     cfg = load_config(config_path)
@@ -346,33 +328,27 @@ def cmd_study(config_path, runs: int, threads: int) -> int:
         gamma=float(cfg["rbf"]["gamma"]),
         coverage=float(cfg["rbf"]["coverage"]),
     )
-    executor = _make_executor(threads, bundle.poincare_map)
     outcomes = []
     failures = []
-    try:
-        for offset in range(runs):
-            seed = cfg["seed"] + offset
-            try:
-                result = run(
-                    bundle.poincare_map,
-                    initial,
-                    cfg["N"],
-                    cfg["eps_target"],
-                    cfg["beta"],
-                    cfg["max_iters"],
-                    seed,
-                    representation=cfg["representation"],
-                    rbf_options=rbf_options,
-                    executor=executor,
-                    store_samples=False,
-                )
-                outcomes.append((seed, result))
-            except (CollapseError, NoConvergence, UnstableLinearization) as exc:
-                failures.append((seed, f"{type(exc).__name__}: {exc}"))
-                print(f"seed {seed}: failed ({type(exc).__name__})", file=sys.stderr)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for offset in range(runs):
+        seed = cfg["seed"] + offset
+        try:
+            result = run(
+                bundle.poincare_map,
+                initial,
+                cfg["N"],
+                cfg["eps_target"],
+                cfg["beta"],
+                cfg["max_iters"],
+                seed,
+                representation=cfg["representation"],
+                rbf_options=rbf_options,
+                store_samples=False,
+            )
+            outcomes.append((seed, result))
+        except (CollapseError, NoConvergence, UnstableLinearization) as exc:
+            failures.append((seed, f"{type(exc).__name__}: {exc}"))
+            print(f"seed {seed}: failed ({type(exc).__name__})", file=sys.stderr)
     if not outcomes:
         for seed, message in failures:
             print(f"seed {seed}: {message}", file=sys.stderr)
@@ -425,43 +401,42 @@ def cmd_systems() -> int:
     return EXIT_OK
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="invset",
         description="Finite-step invariant sets for return maps with PAC certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, help="accepted and ignored")
 
-    p_run = sub.add_parser("run", help="run the identification pipeline from a config file")
+    p_run = sub.add_parser(
+        "run", parents=[threads], help="run the identification pipeline from a config file"
+    )
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=_default_threads())
 
-    p_verify = sub.add_parser("verify", help="k-step verification of a finished run")
+    p_verify = sub.add_parser(
+        "verify", parents=[threads], help="k-step verification of a finished run"
+    )
     p_verify.add_argument("result")
     p_verify.add_argument("--kmax", type=int, default=20)
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=int, default=_default_threads())
 
-    p_study = sub.add_parser("study", help="repeat a run over consecutive seeds")
+    p_study = sub.add_parser("study", parents=[threads], help="repeat a run over consecutive seeds")
     p_study.add_argument("config")
     p_study.add_argument("--runs", type=int, default=10)
-    p_study.add_argument("--threads", type=int, default=_default_threads())
 
     sub.add_parser("systems", help="list built-in systems with default parameters")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.threads)
+            return cmd_run(args.config)
         if args.command == "verify":
-            return cmd_verify(args.result, args.kmax, args.samples, args.seed, args.threads)
+            return cmd_verify(args.result, args.kmax, args.samples, args.seed)
         if args.command == "study":
-            return cmd_study(args.config, args.runs, args.threads)
+            return cmd_study(args.config, args.runs)
         return cmd_systems()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -75,10 +75,13 @@ class Ellipsoid:
         return bool(np.linalg.norm(self.A @ x - self.b) <= 1.0)
 
     def contains_batch(self, points) -> np.ndarray:
-        """Vectorized membership for an (n, dim) array; NaN rows are outside."""
+        """Vectorized membership for an (n, dim) array; NaN rows are outside.
+
+        A residual that overflows is +inf, so far-off rows are outside too.
+        """
         pts = np.asarray(points, dtype=float)
-        resid = np.linalg.norm(pts @ self.A.T - self.b, axis=-1)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.linalg.norm(pts @ self.A.T - self.b, axis=-1)
             return resid <= 1.0
 
     def boundary_distance(self, x) -> float:

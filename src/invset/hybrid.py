@@ -4,18 +4,18 @@ A hybrid system alternates continuous flow on the domain {h >= 0} with a
 discrete reset fired on the guard {h = 0, hdot < 0}.  The return map takes a
 pre-impact guard point (in reduced chart coordinates), applies the reset,
 flows until the next accepted downward guard crossing, and projects back to
-the chart.
+the chart.  Every flow runs on the batched Dormand-Prince 5(4) engine of
+`batchflow`; a scalar `HybridSystemDefinition` reaches it through a row
+adapter, so `integrate_to_guard` and `poincare_step` are one-row batches.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853, RK45
 from scipy.linalg import solve_discrete_lyapunov
-from scipy.optimize import brentq
 
 from .ellipsoid import Ellipsoid
 
@@ -48,12 +48,13 @@ class FiniteDifferenceWarning(RuntimeWarning):
     """Forward and central difference estimates disagree beyond tolerance."""
 
 
-_STEPPERS = {"rk45": RK45, "dop853": DOP853}
-
-
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Adaptive-step integration and event-localization settings."""
+    """Adaptive-step integration and event-localization settings.
+
+    `method` names the Runge-Kutta pair; the only one is "rk45", the
+    Dormand-Prince 5(4) pair of the batched engine.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
@@ -63,8 +64,8 @@ class IntegrationOptions:
     method: str = "rk45"
 
     def __post_init__(self):
-        if self.method not in _STEPPERS:
-            raise ValueError(f"unknown integration method {self.method!r}")
+        if self.method != "rk45":
+            raise ValueError(f"unknown integration method {self.method!r} (only 'rk45')")
         if min(self.rel_tol, self.abs_tol, self.guard_tol, self.max_flow_time) <= 0:
             raise ValueError("tolerances and max_flow_time must be positive")
 
@@ -124,61 +125,13 @@ def integrate_to_guard(system, x_plus, options: IntegrationOptions = DEFAULT_INT
     interpolant; crossings that are non-transversal or rejected by the event
     filter are skipped and the flow continues.
 
-    Raises GuardNotReached when the time budget runs out (or the trajectory
-    escapes) and ImmediateReimpact for an accepted crossing before t_min.
+    Raises GuardNotReached when the time budget runs out, the trajectory
+    escapes or `x_plus` lies outside the domain, and ImmediateReimpact for an
+    accepted crossing before t_min.
     """
-    h = system.guard_function
-    f = system.vector_field
-    x0 = np.asarray(x_plus, dtype=float)
-    h0 = float(h(x0))
-    if not np.isfinite(h0):
-        raise GuardNotReached("guard function undefined at initial state")
-    if h0 < -options.guard_tol:
-        raise GuardNotReached(f"initial state outside the domain (h = {h0:.3e})")
+    from .batchflow import flow_to_guard, hybrid_callbacks  # batchflow imports this module
 
-    stepper = _STEPPERS[options.method](
-        lambda t, y: f(y),
-        0.0,
-        x0,
-        options.max_flow_time,
-        rtol=options.rel_tol,
-        atol=options.abs_tol,
-    )
-    t_prev, h_prev = 0.0, h0
-    while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise GuardNotReached(f"integrator failed: {message}")
-        t_now = float(stepper.t)
-        x_now = stepper.y
-        if system.escape_condition is not None and system.escape_condition(x_now):
-            raise GuardNotReached("trajectory escaped the operating region")
-        h_now = float(h(x_now))
-        if h_prev > 0.0 and h_now <= 0.0:
-            dense = stepper.dense_output()
-            if h_now == 0.0:
-                t_root = t_now
-            else:
-                t_root = brentq(lambda t: float(h(dense(t))), t_prev, t_now)
-            x_root = np.asarray(dense(t_root), dtype=float)
-            h_root = float(h(x_root))
-            if abs(h_root) > options.guard_tol:
-                raise GuardNotReached(
-                    f"guard localization residual {h_root:.3e} exceeds guard_tol"
-                )
-            accepted = _hdot(system, x_root) < 0.0 and (
-                system.event_filter is None or system.event_filter(x_root)
-            )
-            if accepted:
-                if t_root < options.t_min:
-                    raise ImmediateReimpact(
-                        f"guard crossing at t = {t_root:.3e} < t_min = {options.t_min:.3e}"
-                    )
-                return x_root, float(t_root)
-        t_prev, h_prev = t_now, h_now
-    raise GuardNotReached(
-        f"no accepted guard crossing within max_flow_time = {options.max_flow_time}"
-    )
+    return flow_to_guard(hybrid_callbacks(system), x_plus, options)
 
 
 def poincare_step(system, y, options: IntegrationOptions = DEFAULT_INTEGRATION) -> np.ndarray:
@@ -188,60 +141,53 @@ def poincare_step(system, y, options: IntegrationOptions = DEFAULT_INTEGRATION) 
     point, applies the reset, flows to the next accepted crossing, and
     projects back to the chart.
     """
-    y = np.asarray(y, dtype=float)
-    x_pre = np.asarray(system.chart_inverse(y), dtype=float)
-    if _hdot(system, x_pre) >= 0.0:
-        raise InvalidSectionPoint("section point is not a downward guard crossing")
-    if system.event_filter is not None and not system.event_filter(x_pre):
-        raise InvalidSectionPoint("section point rejected by the event filter")
-    x_plus = np.asarray(system.reset(x_pre), dtype=float)
-    x_minus, _ = integrate_to_guard(system, x_plus, options)
-    return np.asarray(system.chart(x_minus), dtype=float)
+    return PoincareMap.from_hybrid_system(system, options)(y)
 
 
-@dataclass(frozen=True, eq=False)
-class SimulatedReturnMap:
-    """Picklable return-map evaluator backed by numerical integration."""
-
-    system: HybridSystemDefinition
-    options: IntegrationOptions
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return poincare_step(self.system, y, self.options)
+def _map_rows(fn, reduced_dim, points):
+    """Batch evaluator looping `fn` over rows; failed rows are NaN."""
+    out = np.full((points.shape[0], reduced_dim), np.nan)
+    ok = np.zeros(points.shape[0], dtype=bool)
+    for i, y in enumerate(points):
+        try:
+            out[i] = fn(y)
+            ok[i] = True
+        except PoincareEvaluationError:
+            pass
+    return out, ok
 
 
 @dataclass(frozen=True, eq=False)
 class PoincareMap:
     """Deterministic map on reduced guard coordinates.
 
-    `evaluator` is either an analytic closed form or a simulation-backed
-    callable; `batch_evaluator`, when present, maps an (n, dim) array in one
-    call and returns (outputs, ok) with NaN rows where evaluation failed.
-    `evaluation_budget` is the flow-time limit per call (inf for analytic
-    maps).
+    `evaluator` maps one point; `batch_evaluator` maps an (n, dim) array in
+    one call and returns (outputs, ok) with NaN rows where evaluation failed.
     """
 
     reduced_dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    batch_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    evaluation_budget: float = math.inf
+    batch_evaluator: Callable[[np.ndarray], tuple]
 
     def __call__(self, y) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(y, dtype=float)), dtype=float)
 
     @classmethod
     def from_function(cls, fn, reduced_dim: int, batch_fn=None) -> "PoincareMap":
+        """Map of a point function; without `batch_fn` a batch loops over rows."""
+        if batch_fn is None:
+            batch_fn = partial(_map_rows, fn, reduced_dim)
         return cls(reduced_dim=reduced_dim, evaluator=fn, batch_evaluator=batch_fn)
 
     @classmethod
     def from_hybrid_system(
         cls, system: HybridSystemDefinition, options: IntegrationOptions = DEFAULT_INTEGRATION
     ) -> "PoincareMap":
-        return cls(
-            reduced_dim=system.reduced_dim,
-            evaluator=SimulatedReturnMap(system, options),
-            evaluation_budget=options.max_flow_time,
-        )
+        """Return map of a scalar system on the batched engine.  Its callbacks
+        run one row at a time; `BatchHybridCallbacks` avoid that loop."""
+        from .batchflow import hybrid_callbacks, vectorized_poincare_map
+
+        return vectorized_poincare_map(hybrid_callbacks(system), options)
 
 
 def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True,

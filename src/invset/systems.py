@@ -7,7 +7,7 @@ the swing phase between heel strikes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -53,13 +53,9 @@ def cec_map(x, p: CecParams) -> np.ndarray:
     expand, and the unit-M-ball boundary is pointwise fixed.  Accepts a
     single point (2,) or a batch (n, 2).
     """
-    x = np.asarray(x, dtype=float)
-    d = x - p.c
-    if d.ndim == 1:
-        rho = float(d @ p.M @ d)
-        return d * math.sqrt(rho) + p.c
-    rho = np.einsum("ij,jk,ik->i", d, p.M, d)
-    return d * np.sqrt(rho)[:, None] + p.c
+    d = np.asarray(x, dtype=float) - p.c
+    rho = np.einsum("...j,jk,...k->...", d, p.M, d)
+    return d * np.sqrt(rho)[..., None] + p.c
 
 
 def cec_true_invariant_set(p: CecParams):
@@ -71,20 +67,19 @@ def cec_true_invariant_set(p: CecParams):
     return Ellipsoid(A=root, b=root @ p.c)
 
 
-def _cec_single(y, p):
-    return cec_map(y, p)
-
-
-def _cec_batch(points, p):
-    out = cec_map(points, p)
+def _analytic_batch(points, map_fn, p):
+    out = map_fn(points, p)
     return out, np.all(np.isfinite(out), axis=1)
 
 
-def cec_poincare_map(p: CecParams = None) -> PoincareMap:
-    p = CecParams() if p is None else p
+def _analytic_poincare_map(map_fn, p) -> PoincareMap:
     return PoincareMap.from_function(
-        partial(_cec_single, p=p), reduced_dim=2, batch_fn=partial(_cec_batch, p=p)
+        partial(map_fn, p=p), reduced_dim=2, batch_fn=partial(_analytic_batch, map_fn=map_fn, p=p)
     )
+
+
+def cec_poincare_map(p: CecParams = None) -> PoincareMap:
+    return _analytic_poincare_map(cec_map, CecParams() if p is None else p)
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +121,13 @@ def nec_map(x, p: NecParams) -> np.ndarray:
     single point (2,) or a batch (n, 2).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if np.linalg.norm(x - p.c1) < p.r:
-            return 0.5 * (x + p.c1)
-        if np.linalg.norm(x - p.c2) < p.r:
-            return 0.5 * (x + p.c2)
-        return p.kappa * x
-    out = p.kappa * x
-    in1 = np.linalg.norm(x - p.c1, axis=1) < p.r
-    in2 = (~in1) & (np.linalg.norm(x - p.c2, axis=1) < p.r)
-    out[in1] = 0.5 * (x[in1] + p.c1)
-    out[in2] = 0.5 * (x[in2] + p.c2)
-    return out
-
-
-def _nec_single(y, p):
-    return nec_map(y, p)
-
-
-def _nec_batch(points, p):
-    out = nec_map(points, p)
-    return out, np.all(np.isfinite(out), axis=1)
+    in1 = (np.linalg.norm(x - p.c1, axis=-1) < p.r)[..., None]
+    in2 = (np.linalg.norm(x - p.c2, axis=-1) < p.r)[..., None]
+    return np.where(in1, 0.5 * (x + p.c1), np.where(in2, 0.5 * (x + p.c2), p.kappa * x))
 
 
 def nec_poincare_map(p: NecParams = None) -> PoincareMap:
-    p = NecParams() if p is None else p
-    return PoincareMap.from_function(
-        partial(_nec_single, p=p), reduced_dim=2, batch_fn=partial(_nec_batch, p=p)
-    )
+    return _analytic_poincare_map(nec_map, NecParams() if p is None else p)
 
 
 def nec_true_volume(p: NecParams) -> float:
@@ -194,49 +168,64 @@ class CompassGaitParams:
         return self.a + self.b
 
 
+# Each walker function takes one state (4,) or a batch (n, 4), indexing the
+# state along the last axis, and serves both the scalar system and the batch
+# callbacks.
+
+
 def _cg_vector_field(x, p: CompassGaitParams):
-    th_sw, th_st, w_sw, w_st = x
-    sin_d = math.sin(th_st - th_sw)
-    cos_d = math.cos(th_st - th_sw)
+    th_sw, th_st, w_sw, w_st = (x[..., i] for i in range(4))
+    sin_d = np.sin(th_st - th_sw)
+    cos_d = np.cos(th_st - th_sw)
     mlb = p.m * p.l * p.b
     h11 = p.m * p.b * p.b
     h12 = -mlb * cos_d
     h22 = (p.m_h + p.m) * p.l * p.l + p.m * p.a * p.a
     # H qdd = -(C qd + G); 2x2 solve in closed form
-    r1 = -mlb * sin_d * w_st * w_st - p.m * p.g * p.b * math.sin(th_sw)
-    r2 = mlb * sin_d * w_sw * w_sw + (p.m_h * p.l + p.m * (p.a + p.l)) * p.g * math.sin(th_st)
+    r1 = -mlb * sin_d * w_st * w_st - p.m * p.g * p.b * np.sin(th_sw)
+    r2 = mlb * sin_d * w_sw * w_sw + (p.m_h * p.l + p.m * (p.a + p.l)) * p.g * np.sin(th_st)
     det = h11 * h22 - h12 * h12
-    return np.array(
-        [w_sw, w_st, (h22 * r1 - h12 * r2) / det, (h11 * r2 - h12 * r1) / det]
-    )
+    out = np.empty_like(x)
+    out[..., 0] = w_sw
+    out[..., 1] = w_st
+    out[..., 2] = (h22 * r1 - h12 * r2) / det
+    out[..., 3] = (h11 * r2 - h12 * r1) / det
+    return out
 
 
 def _cg_guard(x, p: CompassGaitParams):
     """Swing-foot height above the slope plane (zero on the strike manifold
     theta_sw + theta_st = -2*slope and at leg crossing theta_sw = theta_st)."""
-    return p.l * (math.cos(x[1] + p.slope) - math.cos(x[0] + p.slope))
+    return p.l * (np.cos(x[..., 1] + p.slope) - np.cos(x[..., 0] + p.slope))
 
 
 def _cg_guard_velocity(x, p: CompassGaitParams):
-    return p.l * (math.sin(x[0] + p.slope) * x[2] - math.sin(x[1] + p.slope) * x[3])
+    return p.l * (
+        np.sin(x[..., 0] + p.slope) * x[..., 2] - np.sin(x[..., 1] + p.slope) * x[..., 3]
+    )
 
 
 def _cg_event_filter(x, p: CompassGaitParams):
     # Accept heel strikes only with the swing leg ahead and legs separated;
     # rejects the mid-stance scuffing crossings near theta_sw = theta_st.
-    return (x[0] - x[1]) > p.min_leg_separation
+    return (x[..., 0] - x[..., 1]) > p.min_leg_separation
 
 
 def _cg_escape(x, p: CompassGaitParams):
-    return abs(x[0]) > 1.5 or abs(x[1]) > 1.5 or abs(x[2]) > 25.0 or abs(x[3]) > 25.0
+    return (
+        (np.abs(x[..., 0]) > 1.5)
+        | (np.abs(x[..., 1]) > 1.5)
+        | (np.abs(x[..., 2]) > 25.0)
+        | (np.abs(x[..., 3]) > 25.0)
+    )
 
 
 def _cg_reset(x, p: CompassGaitParams):
     """Heel-strike reset: swap leg roles and map angular velocities through
     conservation of angular momentum (whole body about the new contact point,
     trailing leg about the hip)."""
-    th_sw, th_st, w_sw, w_st = x
-    c2a = math.cos(th_sw - th_st)
+    th_sw, th_st, w_sw, w_st = (x[..., i] for i in range(4))
+    c2a = np.cos(th_sw - th_st)
     m, mh, a, b, l = p.m, p.m_h, p.a, p.b, p.l
     qm11 = -m * a * b
     qm12 = -m * a * b + (mh * l * l + 2.0 * m * a * l) * c2a
@@ -248,17 +237,25 @@ def _cg_reset(x, p: CompassGaitParams):
     qp21 = m * b * b
     qp22 = -m * b * l * c2a
     det = qp11 * qp22 - qp12 * qp21
-    w_sw_plus = (qp22 * r1 - qp12 * r2) / det
-    w_st_plus = (qp11 * r2 - qp21 * r1) / det
-    return np.array([th_st, th_sw, w_sw_plus, w_st_plus])
+    out = np.empty_like(x)
+    out[..., 0] = th_st
+    out[..., 1] = th_sw
+    out[..., 2] = (qp22 * r1 - qp12 * r2) / det
+    out[..., 3] = (qp11 * r2 - qp21 * r1) / det
+    return out
 
 
 def _cg_chart(x, p: CompassGaitParams):
-    return np.array([x[0], x[2], x[3]])
+    return x[..., [0, 2, 3]]
 
 
 def _cg_chart_inverse(y, p: CompassGaitParams):
-    return np.array([y[0], -2.0 * p.slope - y[0], y[1], y[2]])
+    out = np.empty(y.shape[:-1] + (4,))
+    out[..., 0] = y[..., 0]
+    out[..., 1] = -2.0 * p.slope - y[..., 0]
+    out[..., 2] = y[..., 1]
+    out[..., 3] = y[..., 2]
+    return out
 
 
 def compass_mass_matrix(q, p: CompassGaitParams) -> np.ndarray:
@@ -291,97 +288,10 @@ def compass_gait_system(p: CompassGaitParams = None) -> HybridSystemDefinition:
     """Hybrid system for the walker with a 3-dimensional guard chart
     (theta_sw, omega_sw, omega_st); the stance angle on the strike manifold
     is recovered as -2*slope - theta_sw."""
-    p = CompassGaitParams() if p is None else p
-    return HybridSystemDefinition(
-        state_dim=4,
-        reduced_dim=3,
-        vector_field=partial(_cg_vector_field, p=p),
-        guard_function=partial(_cg_guard, p=p),
-        reset=partial(_cg_reset, p=p),
-        chart=partial(_cg_chart, p=p),
-        chart_inverse=partial(_cg_chart_inverse, p=p),
-        guard_velocity=partial(_cg_guard_velocity, p=p),
-        event_filter=partial(_cg_event_filter, p=p),
-        escape_condition=partial(_cg_escape, p=p),
-    )
-
-
-def _cg_vf_batch(states, p: CompassGaitParams):
-    th_sw, th_st, w_sw, w_st = states.T
-    sin_d = np.sin(th_st - th_sw)
-    cos_d = np.cos(th_st - th_sw)
-    mlb = p.m * p.l * p.b
-    h11 = p.m * p.b * p.b
-    h12 = -mlb * cos_d
-    h22 = (p.m_h + p.m) * p.l * p.l + p.m * p.a * p.a
-    r1 = -mlb * sin_d * w_st * w_st - p.m * p.g * p.b * np.sin(th_sw)
-    r2 = mlb * sin_d * w_sw * w_sw + (p.m_h * p.l + p.m * (p.a + p.l)) * p.g * np.sin(th_st)
-    det = h11 * h22 - h12 * h12
-    out = np.empty_like(states)
-    out[:, 0] = w_sw
-    out[:, 1] = w_st
-    out[:, 2] = (h22 * r1 - h12 * r2) / det
-    out[:, 3] = (h11 * r2 - h12 * r1) / det
-    return out
-
-
-def _cg_guard_batch(states, p: CompassGaitParams):
-    return p.l * (np.cos(states[:, 1] + p.slope) - np.cos(states[:, 0] + p.slope))
-
-
-def _cg_guard_velocity_batch(states, p: CompassGaitParams):
-    return p.l * (
-        np.sin(states[:, 0] + p.slope) * states[:, 2]
-        - np.sin(states[:, 1] + p.slope) * states[:, 3]
-    )
-
-
-def _cg_event_filter_batch(states, p: CompassGaitParams):
-    return (states[:, 0] - states[:, 1]) > p.min_leg_separation
-
-
-def _cg_escape_batch(states, p: CompassGaitParams):
-    return (
-        (np.abs(states[:, 0]) > 1.5)
-        | (np.abs(states[:, 1]) > 1.5)
-        | (np.abs(states[:, 2]) > 25.0)
-        | (np.abs(states[:, 3]) > 25.0)
-    )
-
-
-def _cg_reset_batch(states, p: CompassGaitParams):
-    th_sw, th_st, w_sw, w_st = states.T
-    c2a = np.cos(th_sw - th_st)
-    m, mh, a, b, l = p.m, p.m_h, p.a, p.b, p.l
-    qm11 = -m * a * b
-    qm12 = -m * a * b + (mh * l * l + 2.0 * m * a * l) * c2a
-    qm22 = -m * a * b
-    r1 = qm11 * w_sw + qm12 * w_st
-    r2 = qm22 * w_st
-    qp11 = m * b * (b - l * c2a)
-    qp12 = m * l * (l - b * c2a) + m * a * a + mh * l * l
-    qp21 = m * b * b
-    qp22 = -m * b * l * c2a
-    det = qp11 * qp22 - qp12 * qp21
-    out = np.empty_like(states)
-    out[:, 0] = th_st
-    out[:, 1] = th_sw
-    out[:, 2] = (qp22 * r1 - qp12 * r2) / det
-    out[:, 3] = (qp11 * r2 - qp21 * r1) / det
-    return out
-
-
-def _cg_chart_batch(states, p: CompassGaitParams):
-    return states[:, [0, 2, 3]]
-
-
-def _cg_chart_inverse_batch(reduced, p: CompassGaitParams):
-    out = np.empty((reduced.shape[0], 4))
-    out[:, 0] = reduced[:, 0]
-    out[:, 1] = -2.0 * p.slope - reduced[:, 0]
-    out[:, 2] = reduced[:, 1]
-    out[:, 3] = reduced[:, 2]
-    return out
+    callbacks = compass_gait_batch_callbacks(p)
+    functions = {f.name: getattr(callbacks, f.name) for f in fields(callbacks)}
+    functions["guard_function"] = functions.pop("guard")
+    return HybridSystemDefinition(**functions)
 
 
 def compass_gait_batch_callbacks(p: CompassGaitParams = None) -> BatchHybridCallbacks:
@@ -389,14 +299,14 @@ def compass_gait_batch_callbacks(p: CompassGaitParams = None) -> BatchHybridCall
     return BatchHybridCallbacks(
         state_dim=4,
         reduced_dim=3,
-        vector_field=partial(_cg_vf_batch, p=p),
-        guard=partial(_cg_guard_batch, p=p),
-        guard_velocity=partial(_cg_guard_velocity_batch, p=p),
-        reset=partial(_cg_reset_batch, p=p),
-        chart=partial(_cg_chart_batch, p=p),
-        chart_inverse=partial(_cg_chart_inverse_batch, p=p),
-        event_filter=partial(_cg_event_filter_batch, p=p),
-        escape_condition=partial(_cg_escape_batch, p=p),
+        vector_field=partial(_cg_vector_field, p=p),
+        guard=partial(_cg_guard, p=p),
+        guard_velocity=partial(_cg_guard_velocity, p=p),
+        reset=partial(_cg_reset, p=p),
+        chart=partial(_cg_chart, p=p),
+        chart_inverse=partial(_cg_chart_inverse, p=p),
+        event_filter=partial(_cg_event_filter, p=p),
+        escape_condition=partial(_cg_escape, p=p),
     )
 
 
@@ -427,7 +337,6 @@ class SystemBundle:
     reduced_dim: int
     poincare_map: PoincareMap
     params: object
-    hybrid_system: HybridSystemDefinition = None
     fixed_point_seed: np.ndarray = None
 
 
@@ -469,13 +378,11 @@ def build_system(
         )
     if name == "compass_gait":
         p = _apply_overrides(CompassGaitParams, CompassGaitParams(), overrides)
-        system = compass_gait_system(p)
         return SystemBundle(
             name=name,
             reduced_dim=3,
-            poincare_map=PoincareMap.from_hybrid_system(system, integration),
+            poincare_map=compass_gait_poincare_map(p, integration),
             params=p,
-            hybrid_system=system,
             fixed_point_seed=COMPASS_GAIT_SECTION_SEED.copy(),
         )
     raise ValueError(f"unknown system {name!r}; known: cec, nec, compass_gait")

@@ -1,9 +1,10 @@
 import math
-from concurrent.futures import ProcessPoolExecutor
+import time
 
 import numpy as np
 import pytest
 
+import invset.algorithm
 from invset.algorithm import (
     CollapseError,
     RbfOptions,
@@ -20,6 +21,7 @@ from invset.systems import (
     CecParams,
     cec_poincare_map,
     cec_true_invariant_set,
+    compass_gait_poincare_map,
     compass_gait_system,
     nec_poincare_map,
 )
@@ -170,6 +172,21 @@ class TestRun:
         with pytest.raises(ValueError):
             run(IDENTITY_MAP, E0, 2, 0.03, 1e-9, 10, seed=0)
 
+    def test_wall_ms_covers_the_refit(self, monkeypatch):
+        real_mvee = invset.algorithm.mvee
+
+        def slow_mvee(*args, **kwargs):
+            time.sleep(0.05)
+            return real_mvee(*args, **kwargs)
+
+        monkeypatch.setattr(invset.algorithm, "mvee", slow_mvee)
+        pm = cec_poincare_map()
+        res = run(pm, Ellipsoid.ball(math.sqrt(10), [0, 0]), 1000, 0.03, 1e-9, 50, seed=1)
+        assert res.history.termination == "certified"
+        refitted = res.history.records[:-1]  # the certified iterate is not refit
+        assert refitted
+        assert all(rec.wall_ms >= 50.0 for rec in refitted)
+
     def test_rbf_representation_pipeline(self):
         pm = nec_poincare_map()
         res = run(
@@ -189,19 +206,25 @@ class TestRun:
 
 
 class TestEvaluateMap:
-    def test_process_pool_matches_inline(self):
-        system = compass_gait_system()
-        opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_flow_time=3.0)
-        pmap = PoincareMap.from_hybrid_system(system, opts)  # no batch evaluator
+    @pytest.mark.parametrize(
+        "make_map",
+        [
+            lambda opts: PoincareMap.from_hybrid_system(compass_gait_system(), opts),
+            lambda opts: compass_gait_poincare_map(None, opts),
+        ],
+        ids=["scalar-adapter", "batch-callbacks"],
+    )
+    def test_row_partitions_are_bit_identical(self, make_map):
+        pmap = make_map(IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_flow_time=3.0))
         rng = np.random.default_rng(10)
         points = COMPASS_GAIT_SECTION_SEED + 0.01 * rng.standard_normal((24, 3))
-        inline_out, inline_ok = evaluate_map(pmap, points)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled_out, pooled_ok = evaluate_map(pmap, points, executor=pool)
-        assert np.array_equal(inline_ok, pooled_ok)
-        assert np.array_equal(
-            inline_out[inline_ok], pooled_out[pooled_ok]
-        )
+        whole_out, whole_ok = evaluate_map(pmap, points)
+        assert whole_ok.any()
+        for size in (1, 5, 24):
+            parts = [evaluate_map(pmap, points[i : i + size]) for i in range(0, 24, size)]
+            assert np.array_equal(np.concatenate([ok for _, ok in parts]), whole_ok)
+            out = np.concatenate([out for out, _ in parts])
+            assert np.array_equal(out, whole_out, equal_nan=True)
 
     def test_k_steps_compose(self):
         pm = cec_poincare_map()

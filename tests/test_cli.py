@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invset
 from invset.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, ConfigError, load_config, main
+from invset.hybrid import IntegrationOptions
 from invset.pac import binomial_tail_inversion
 
 CEC_INIT = {
@@ -70,6 +75,29 @@ class TestConfigValidation:
         file = write_config(tmp_path, init={"mode": "guess"})
         with pytest.raises(ConfigError, match="mode"):
             load_config(file)
+
+    def test_only_the_rk45_method_exists(self, tmp_path):
+        # rk45, the batched engine's Dormand-Prince 5(4) pair, is the only method
+        with pytest.raises(ValueError, match="dop853"):
+            IntegrationOptions(method="dop853")
+        file = write_config(tmp_path, integration={"method": "dop853"})
+        with pytest.raises(ConfigError, match="dop853"):
+            load_config(file)
+
+
+def test_one_engine_without_scipy_integrate_or_process_pool():
+    # every return map runs on the batched engine, in this process
+    code = (
+        "import sys, invset, invset.cli, invset.systems\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy.integrate' or m == 'concurrent.futures.process'))"
+    )
+    src = str(Path(invset.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120, env=env
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestRunCommand:

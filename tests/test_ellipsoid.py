@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ class TestContainment:
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         with pytest.raises(ValueError):
             E.contains([1.0, 0.0, 0.0])
+
+    def test_overflowing_residual_is_outside(self):
+        # escaped cec images square their offset each step; an overflowed
+        # residual is +inf, outside, and raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = Ellipsoid.ball(1.0, [0.0, 0.0]).contains_batch([[1e200, 0.0]])
+        assert inside.tolist() == [False]
 
 
 class TestValidation:
