@@ -23,6 +23,11 @@ class DegenerateCloudWarning(RuntimeWarning):
     """Point cloud was rank deficient; the returned cover was regularized."""
 
 
+class MveeConvergenceWarning(RuntimeWarning):
+    """The MVEE solver hit `max_iters` before its duality-gap test passed; the
+    returned cover still contains every input but may be too large."""
+
+
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit ball in `dim` dimensions."""
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
@@ -154,100 +159,90 @@ def _hull_vertices(points: np.ndarray) -> np.ndarray:
     return points[hull.vertices]
 
 
-_REFRESH_PERIOD = 256
+def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
+    """Active-set Newton ascent on the dual of the minimum-volume cover.
 
+    Maximizes log det V(u), V(u) = sum_j u_j q_j q_j^T over the lifted points
+    q_j = (p_j, 1), on the simplex u >= 0, sum u = 1.  Each step solves the
+    Newton KKT system on the active set S.  A ratio test keeps u >= 0, and the
+    point that blocks the step leaves S; outside the quadratic region the
+    step is damped by 1 / (1 + lambda), lambda^2 being the Newton decrement.
+    Once the step is negligible, the point of largest leverage
+    kappa_j = q_j^T V^{-1} q_j joins S, unless max kappa <= (1 + tol) m,
+    which bounds the duality gap and stops.  Returns the weights, a
+    degeneracy flag (rank-deficient lifted scatter) and the gap
+    max kappa / m - 1 reached.
 
-def _khachiyan_weights(points: np.ndarray, tol: float, max_iters: int):
-    """Dual weight-update iteration (Frank-Wolfe ascent with away steps).
-
-    Maximizes log det of the weighted scatter of lifted points.  The inverse
-    scatter and the leverages kappa_j are maintained by Sherman-Morrison
-    rank-1 updates and recomputed from scratch periodically (and before any
-    accepted stop) to control drift.  Returns the weight vector and a
-    degeneracy flag.  Termination: every support leverage is within a
-    (1 +/- tol) factor of (d + 1).
+    The KKT system is never formed.  With V = L L^T and z_j = L^{-1} q_j, the
+    Hessian on S is -(G o G) = -psi psi^T, G = Z_S Z_S^T, where row j of psi
+    is the upper triangle of z_j z_j^T with off-diagonals scaled by sqrt(2).
+    The step is the minimum-norm solution, from an SVD of psi, which has
+    m(m+1)/2 columns however large S is: no |S| x |S| matrix is factored.
     """
     n, d = points.shape
     q = np.hstack([points, np.ones((n, 1))])
     m = d + 1
     u = np.full(n, 1.0 / n)
-    degenerate = False
-
-    def refresh():
-        nonlocal degenerate
-        v = q.T @ (q * u[:, None])
-        try:
-            vi = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            v = v + np.eye(m) * max(np.trace(v) / m, 1e-300) * 1e-12
-            vi = np.linalg.inv(v)
-            degenerate = True
-        return vi, np.einsum("ij,ij->i", q @ vi, q)
-
-    vi, kappa = refresh()
-    fresh = True
-    since_refresh = 0
-    for _ in range(max_iters):
-        j_up = int(np.argmax(kappa))
-        gap_up = kappa[j_up] - m
-        kappa_support = np.where(u > 0.0, kappa, np.inf)
-        j_down = int(np.argmin(kappa_support))
-        gap_down = m - kappa[j_down]
-        if gap_up <= tol * m and gap_down <= tol * m:
-            if fresh:
-                break
-            vi, kappa = refresh()
-            fresh, since_refresh = True, 0
-            continue
-        if since_refresh >= _REFRESH_PERIOD:
-            vi, kappa = refresh()
-            fresh, since_refresh = True, 0
-            continue
-        if gap_up >= gap_down:
-            j, kj = j_up, kappa[j_up]
-            lam = gap_up / (m * (kj - 1.0))
-            denom = (1.0 - lam) + lam * kj
-            vq = vi @ q[j]
-            w = q @ vq
-            vi = (vi - (lam / denom) * np.outer(vq, vq)) / (1.0 - lam)
-            kappa = (kappa - (lam / denom) * w * w) / (1.0 - lam)
+    w = np.linalg.eigvalsh(q.T @ (q * u[:, None]))
+    if not w[0] > 1e-12 * w[-1]:
+        return u, True, np.inf
+    rows, cols = np.triu_indices(m)
+    scale = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    svec_eye = (rows == cols).astype(float)  # psi @ svec_eye = kappa_S
+    active = np.ones(n, dtype=bool)
+    for step in range(max_iters + 1):
+        L = np.linalg.cholesky(q.T @ (q * u[:, None]))
+        z = q @ np.linalg.inv(L).T
+        kappa = np.einsum("ij,ij->i", z, z)
+        gap = kappa.max() / m - 1.0
+        S = np.flatnonzero(active)
+        psi = z[S][:, rows] * z[S][:, cols] * scale
+        U, sig, Vt = np.linalg.svd(psi, full_matrices=False)
+        keep = sig > max(psi.shape) * np.finfo(float).eps * sig[0]
+        # Newton model: minimize |psi^T du - svec(I)| subject to 1^T du = 0,
+        # where 1 = psi @ svec(l l^T) for l = L^T e_m, the last row of L.
+        l = L[-1]
+        c = Vt[keep] @ svec_eye
+        g = Vt[keep] @ (l[rows] * l[cols] * scale)
+        c -= (g @ c) / (g @ g) * g
+        du = U[:, keep] @ (c / sig[keep])
+        lam2 = float(c @ c)
+        negligible = lam2 <= tol * tol
+        if (negligible and gap <= tol) or step == max_iters:
+            break
+        j = int(np.argmax(kappa))
+        if negligible and not active[j]:
+            # j enters S with the exact line-search step towards it
+            lam = (kappa[j] - m) / (m * (kappa[j] - 1.0))
             u *= 1.0 - lam
             u[j] += lam
-        else:
-            j, kj = j_down, kappa[j_down]
-            step_denom = m * (kj - 1.0)
-            cap = u[j] / (1.0 - u[j]) if u[j] < 1.0 else np.inf
-            lam = cap if step_denom <= 0.0 else min(gap_down / step_denom, cap)
-            if not np.isfinite(lam) or lam <= 0.0:
-                break  # all weight on one point: nothing left to move away
-            denom = (1.0 + lam) - lam * kj
-            if denom <= 1e-12:
-                vi, kappa = refresh()
-                fresh, since_refresh = True, 0
-                continue
-            vq = vi @ q[j]
-            w = q @ vq
-            vi = (vi + (lam / denom) * np.outer(vq, vq)) / (1.0 + lam)
-            kappa = (kappa + (lam / denom) * w * w) / (1.0 + lam)
-            u *= 1.0 + lam
-            u[j] = max(u[j] - lam, 0.0)
-        fresh = False
-        since_refresh += 1
-    u = np.maximum(u, 0.0)
-    total = u.sum()
-    if total > 0:
-        u /= total
-    return u, degenerate
+            active[j] = True
+            continue
+        t = 1.0 if lam2 <= 0.25 else 1.0 / (1.0 + math.sqrt(lam2))
+        ratio = np.where(du < 0.0, u[S] / np.where(du < 0.0, -du, 1.0), np.inf)
+        blocker = int(np.argmin(ratio))
+        u[S] += min(t, ratio[blocker]) * du
+        if ratio[blocker] <= t:
+            u[S[blocker]] = 0.0
+            active[S[blocker]] = False
+        u = np.maximum(u, 0.0)
+        u /= u.sum()
+    return u, False, gap
 
 
 def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     """Minimum-volume ellipsoid enclosing `points`.
 
     Every input satisfies ||A p - b|| <= 1 exactly (the raw iterate is
-    rescaled by the worst residual), and the volume is within a (1 + tol)
-    factor of optimal at the default tolerance.  Rank-deficient clouds are
-    regularized with a ridge proportional to the trace scale and reported via
-    DegenerateCloudWarning.
+    rescaled by the worst residual).  The dual weights on the convex-hull
+    vertices are solved by an active-set Newton method that stops on the
+    duality gap: every lifted leverage is at most (1 + tol)(d + 1), which
+    puts the volume within a factor (1 + tol (d + 1) / d)^(d / 2), about
+    1 + tol (d + 1) / 2, of optimal.  `max_iters` caps
+    the Newton steps; a solve that hits it before the gap test passes is
+    reported via MveeConvergenceWarning, with the gap reached.  Rank-deficient
+    clouds are regularized with a ridge proportional to the trace scale and
+    reported via DegenerateCloudWarning.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -259,7 +254,7 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
         raise ValueError("tol must be positive")
 
     work = _hull_vertices(pts)
-    u, degenerate = _khachiyan_weights(work, tol, max_iters)
+    u, degenerate, gap = _newton_weights(work, tol, max_iters)
     center = u @ work
     cov = work.T @ (work * u[:, None]) - np.outer(center, center)
     cov = 0.5 * (cov + cov.T)
@@ -290,6 +285,13 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
         warnings.warn(
             "rank-deficient point cloud: minimum-volume cover was regularized",
             DegenerateCloudWarning,
+            stacklevel=2,
+        )
+    elif gap > tol:
+        warnings.warn(
+            f"MVEE solver stopped after {max_iters} Newton steps at duality gap "
+            f"{gap:.3g} > tol = {tol:g}; the cover was rescaled to contain every input",
+            MveeConvergenceWarning,
             stacklevel=2,
         )
     return Ellipsoid(A=A, b=b)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from invset.hybrid import IntegrationOptions, contraction_init, fd_jacobian, find_fixed_point

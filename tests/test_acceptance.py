@@ -14,7 +14,7 @@ import pytest
 from invset.algorithm import RbfOptions, run, verify_k_step
 from invset.cli import main as cli_main
 from invset.ellipsoid import Ellipsoid, mvee
-from invset.hybrid import IntegrationOptions, PoincareMap, integrate_to_guard
+from invset.hybrid import PoincareMap, integrate_to_guard
 from invset.pac import binomial_cdf, binomial_tail_inversion
 from invset.systems import (
     COMPASS_GAIT_SECTION_SEED,

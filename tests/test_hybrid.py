@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from invset.ellipsoid import Ellipsoid
 from invset.hybrid import (
     GuardNotReached,
     HybridSystemDefinition,
