@@ -19,7 +19,7 @@ import numpy as np
 from .ellipsoid import Ellipsoid, mvee
 from .hybrid import PoincareMap
 from .pac import PacCertificate, binomial_tail_inversion
-from .rbf import RBFSet, fit_rbf, sample_uniform_rbf_with_volume
+from .rbf import GAMMA_BALL, RBFSet, fit_rbf, sample_uniform_rbf_with_volume
 
 _VERIFY_CONTEXT_BASE = 1 << 32  # keeps k-step streams apart from run streams
 
@@ -133,8 +133,7 @@ class RbfOptions:
     """Configuration of the summed-Gaussian refit."""
 
     m: int = 2
-    gamma: float = 0.6065306597126334  # exp(-1/2): single bump == sigma-ball
-    coverage: float = 4.0
+    gamma: float = GAMMA_BALL  # single bump == sigma-ball
 
 
 def evaluate_map(pmap: PoincareMap, points: np.ndarray, k: int = 1):
@@ -160,64 +159,21 @@ def evaluate_map(pmap: PoincareMap, points: np.ndarray, k: int = 1):
     return out, active
 
 
-class _EllipsoidCandidate:
-    """Ellipsoid representation: exact sampling/volume, MVEE refit."""
-
-    def __init__(self, ellipsoid: Ellipsoid, mvee_tol: float):
-        self.current = ellipsoid
-        self.mvee_tol = mvee_tol
-
-    @property
-    def dim(self) -> int:
-        return self.current.dim
-
-    def sample(self, n, seed, context):
-        return self.current.sample(n, seed, context), self.current.volume()
-
-    def contains_batch(self, points):
-        return self.current.contains_batch(points)
-
-    def refit(self, retained_inputs):
-        return _EllipsoidCandidate(mvee(retained_inputs, tol=self.mvee_tol), self.mvee_tol)
+def _draw(candidate, n, seed, context):
+    """`n` uniform samples of an Ellipsoid or RBFSet plus its volume (exact
+    for an ellipsoid, the rejection sampler's Monte-Carlo estimate for an
+    RBF set)."""
+    if isinstance(candidate, RBFSet):
+        return sample_uniform_rbf_with_volume(candidate, n, seed=seed, context=context)
+    return candidate.sample(n, seed, context), candidate.volume()
 
 
-class _RbfCandidate:
-    """Summed-Gaussian representation; the first candidate may still be an
-    ellipsoid (the refit switches the family), volume is the Monte-Carlo
-    estimate implied by rejection sampling."""
-
-    def __init__(self, current, options: RbfOptions):
-        self.current = current
-        self.options = options
-
-    @property
-    def dim(self) -> int:
-        return self.current.dim
-
-    def sample(self, n, seed, context):
-        if isinstance(self.current, Ellipsoid):
-            return self.current.sample(n, seed, context), self.current.volume()
-        return sample_uniform_rbf_with_volume(
-            self.current, n, seed=seed, context=context, coverage=self.options.coverage
-        )
-
-    def contains_batch(self, points):
-        return self.current.contains_batch(points)
-
-    def refit(self, retained_inputs):
-        init = self.current if isinstance(self.current, RBFSet) else None
-        fitted = fit_rbf(
-            retained_inputs, self.options.m, gamma=self.options.gamma, init=init
-        )
-        return _RbfCandidate(fitted, self.options)
-
-
-def _make_candidate(initial_set, representation, mvee_tol, rbf_options):
-    if representation == "ellipsoid":
-        return _EllipsoidCandidate(initial_set, mvee_tol)
-    if representation == "rbf":
-        return _RbfCandidate(initial_set, rbf_options or RbfOptions())
-    raise ValueError(f"unknown representation {representation!r}")
+def _score(pmap, candidate, n, k, beta, seed, context):
+    """Draw, push k map steps, partition, bound: (volume, batch, eps_star)."""
+    points, volume = _draw(candidate, n, seed, context)
+    images, ok = evaluate_map(pmap, points, k)
+    batch = partition(candidate, points, images, ok)
+    return volume, batch, binomial_tail_inversion(batch.violations, n, beta)
 
 
 def run(
@@ -230,7 +186,6 @@ def run(
     seed: int,
     *,
     representation: str = "ellipsoid",
-    mvee_tol: float = 1e-7,
     rbf_options: RbfOptions = None,
     store_samples: bool = True,
 ) -> RunResult:
@@ -257,16 +212,16 @@ def run(
     if n_samples < pmap.reduced_dim + 1:
         raise ValueError("need at least dim + 1 samples per iteration")
 
-    candidate = _make_candidate(initial_set, representation, mvee_tol, rbf_options)
+    if representation not in ("ellipsoid", "rbf"):
+        raise ValueError(f"unknown representation {representation!r}")
+    options = rbf_options or RbfOptions()
+    candidate = initial_set
     records = []
     best_index = 0
     violation_history = []
     for iteration in range(1, max_iters + 1):
         started = time.perf_counter()
-        points, volume = candidate.sample(n_samples, seed, iteration)
-        images, ok = evaluate_map(pmap, points, 1)
-        batch = partition(candidate, points, images, ok)
-        eps_star = binomial_tail_inversion(batch.violations, n_samples, beta)
+        volume, batch, eps_star = _score(pmap, candidate, n_samples, 1, beta, seed, iteration)
         violation_history.append(batch.violations)
         certified = eps_star <= eps_target
         if not certified:
@@ -279,11 +234,15 @@ def run(
                     "The initial set likely fails to contain the invariant set - "
                     "increase its scale (contraction factor r)."
                 )
-            refitted = candidate.refit(retained)
+            if representation == "ellipsoid":
+                refitted = mvee(retained)
+            else:  # the first candidate may be an ellipsoid; the refit switches family
+                init = candidate if isinstance(candidate, RBFSet) else None
+                refitted = fit_rbf(retained, options.m, gamma=options.gamma, init=init)
         records.append(
             IterationRecord(
                 iteration=iteration,
-                candidate=candidate.current,
+                candidate=candidate,
                 volume=volume,
                 violations=batch.violations,
                 epsilon_star=eps_star,
@@ -302,7 +261,7 @@ def run(
                 steps=1,
             )
             history = RunHistory(records, "certified", certificate, iteration)
-            return RunResult(candidate.current, certificate, history)
+            return RunResult(candidate, certificate, history)
         candidate = refitted
 
     best = records[best_index]
@@ -324,8 +283,6 @@ def verify_k_step(
     k_max: int,
     beta: float,
     seed: int,
-    *,
-    coverage: float = 4.0,
 ) -> list:
     """Certify k-step containment for each k in 1..k_max.
 
@@ -335,16 +292,11 @@ def verify_k_step(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if isinstance(invariant_set, RBFSet):
-        candidate = _RbfCandidate(invariant_set, RbfOptions(coverage=coverage))
-    else:
-        candidate = _EllipsoidCandidate(invariant_set, 1e-7)
     results = []
     for k in range(1, k_max + 1):
-        points, _ = candidate.sample(n_samples, seed, _VERIFY_CONTEXT_BASE + k)
-        images, ok = evaluate_map(pmap, points, k)
-        batch = partition(candidate, points, images, ok)
-        eps_star = binomial_tail_inversion(batch.violations, n_samples, beta)
+        _, batch, eps_star = _score(
+            pmap, invariant_set, n_samples, k, beta, seed, _VERIFY_CONTEXT_BASE + k
+        )
         results.append(
             KStepRecord(steps=k, violations=batch.violations, epsilon_star=eps_star)
         )

@@ -33,7 +33,7 @@ from .hybrid import (
     fd_jacobian,
     find_fixed_point,
 )
-from .rbf import GAMMA_BALL, RBFSet
+from .rbf import RBFSet
 from .systems import SYSTEM_NAMES, build_system
 
 OUTPUT_ROOT_ENV = "INVSET_OUTPUT_ROOT"
@@ -140,10 +140,9 @@ def load_config(path) -> dict:
     else:
         raise ConfigError("config.init.mode must be 'explicit' or 'contraction'")
 
-    _reject_unknown(cfg["rbf"], {"m", "gamma", "coverage"}, "config.rbf")
-    cfg["rbf"].setdefault("m", 2)
-    cfg["rbf"].setdefault("gamma", GAMMA_BALL)
-    cfg["rbf"].setdefault("coverage", 4.0)
+    _reject_unknown(cfg["rbf"], {"m", "gamma"}, "config.rbf")
+    cfg["rbf"].setdefault("m", RbfOptions.m)
+    cfg["rbf"].setdefault("gamma", RbfOptions.gamma)
     _require(int(cfg["rbf"]["m"]) >= 1, "rbf.m must be >= 1")
     _require(float(cfg["rbf"]["gamma"]) > 0.0, "rbf.gamma must be positive")
     return cfg
@@ -219,6 +218,21 @@ def _build_from_config(cfg: dict, tightened: bool = False):
     return build_system(cfg["system"], cfg["system_params"], options)
 
 
+def _run_config(cfg: dict, pmap, initial, seed: int, store_samples: bool):
+    return run(
+        pmap,
+        initial,
+        cfg["N"],
+        cfg["eps_target"],
+        cfg["beta"],
+        cfg["max_iters"],
+        seed,
+        representation=cfg["representation"],
+        rbf_options=RbfOptions(m=int(cfg["rbf"]["m"]), gamma=float(cfg["rbf"]["gamma"])),
+        store_samples=store_samples,
+    )
+
+
 def _initial_ellipsoid(cfg: dict):
     """Initial set plus (fixed point, Floquet magnitudes) when linearizing."""
     init = cfg["init"]
@@ -243,21 +257,7 @@ def cmd_run(config_path) -> int:
 
     bundle = _build_from_config(cfg)
     initial, fixed_point, floquet = _initial_ellipsoid(cfg)
-    result = run(
-        bundle.poincare_map,
-        initial,
-        cfg["N"],
-        cfg["eps_target"],
-        cfg["beta"],
-        cfg["max_iters"],
-        cfg["seed"],
-        representation=cfg["representation"],
-        rbf_options=RbfOptions(
-            m=int(cfg["rbf"]["m"]),
-            gamma=float(cfg["rbf"]["gamma"]),
-            coverage=float(cfg["rbf"]["coverage"]),
-        ),
-    )
+    result = _run_config(cfg, bundle.poincare_map, initial, cfg["seed"], store_samples=True)
 
     payload = {
         "system": cfg["system"],
@@ -295,13 +295,7 @@ def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
     invariant_set = _set_from_payload(payload["invariant_set"])
     bundle = _build_from_config(cfg)
     records = verify_k_step(
-        bundle.poincare_map,
-        invariant_set,
-        n_samples,
-        k_max,
-        float(cfg["beta"]),
-        seed,
-        coverage=float(cfg["rbf"]["coverage"]),
+        bundle.poincare_map, invariant_set, n_samples, k_max, float(cfg["beta"]), seed
     )
     lines = ["k,violations,epsilon_star"]
     for rec in records:
@@ -323,28 +317,12 @@ def cmd_study(config_path, runs: int) -> int:
 
     bundle = _build_from_config(cfg)
     initial, _, _ = _initial_ellipsoid(cfg)
-    rbf_options = RbfOptions(
-        m=int(cfg["rbf"]["m"]),
-        gamma=float(cfg["rbf"]["gamma"]),
-        coverage=float(cfg["rbf"]["coverage"]),
-    )
     outcomes = []
     failures = []
     for offset in range(runs):
         seed = cfg["seed"] + offset
         try:
-            result = run(
-                bundle.poincare_map,
-                initial,
-                cfg["N"],
-                cfg["eps_target"],
-                cfg["beta"],
-                cfg["max_iters"],
-                seed,
-                representation=cfg["representation"],
-                rbf_options=rbf_options,
-                store_samples=False,
-            )
+            result = _run_config(cfg, bundle.poincare_map, initial, seed, store_samples=False)
             outcomes.append((seed, result))
         except (CollapseError, NoConvergence, UnstableLinearization) as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))

@@ -19,6 +19,9 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from .ellipsoid import Ellipsoid
 
+_TIGHTEN_FACTOR = 1e-2  # tolerance scale of IntegrationOptions.tightened
+_FD_WARN_TOL = 1e-3  # forward/central Jacobian disagreement that warns
+
 
 class PoincareEvaluationError(RuntimeError):
     """A return-map evaluation could not be completed."""
@@ -69,11 +72,11 @@ class IntegrationOptions:
         if min(self.rel_tol, self.abs_tol, self.guard_tol, self.max_flow_time) <= 0:
             raise ValueError("tolerances and max_flow_time must be positive")
 
-    def tightened(self, factor: float = 1e-2) -> "IntegrationOptions":
+    def tightened(self) -> "IntegrationOptions":
         """Stricter copy used for fixed-point and Jacobian computations."""
         return IntegrationOptions(
-            rel_tol=max(self.rel_tol * factor, 1e-13),
-            abs_tol=max(self.abs_tol * factor, 1e-14),
+            rel_tol=max(self.rel_tol * _TIGHTEN_FACTOR, 1e-13),
+            abs_tol=max(self.abs_tol * _TIGHTEN_FACTOR, 1e-14),
             guard_tol=self.guard_tol,
             t_min=self.t_min,
             max_flow_time=self.max_flow_time,
@@ -190,14 +193,13 @@ class PoincareMap:
         return vectorized_poincare_map(hybrid_callbacks(system), options)
 
 
-def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True,
-                warn_tol: float = 1e-3) -> np.ndarray:
+def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True) -> np.ndarray:
     """Finite-difference Jacobian of the map at `y_star`.
 
     Column j is the forward difference along basis vector e_j.  With
     `check=True` a central-difference companion is formed and a
     FiniteDifferenceWarning is emitted if the two disagree by more than
-    `warn_tol` in relative norm (simulation noise from event localization
+    `_FD_WARN_TOL` in relative norm (simulation noise from event localization
     limits the attainable accuracy).
     """
     y = np.asarray(y_star, dtype=float)
@@ -219,7 +221,7 @@ def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True,
             central[:, j] = (f_plus - f_minus) / (2.0 * eps)
     if check:
         scale = max(float(np.linalg.norm(central)), 1.0)
-        if float(np.linalg.norm(forward - central)) > warn_tol * scale:
+        if float(np.linalg.norm(forward - central)) > _FD_WARN_TOL * scale:
             warnings.warn(
                 "forward and central difference Jacobians disagree; "
                 "consider tightening integration tolerances or adjusting eps",

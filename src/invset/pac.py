@@ -6,12 +6,10 @@ containment, and `epsilon_star` is the largest violation probability whose
 lower binomial tail at (v, N) still reaches the confidence level beta.
 """
 
+import math
 from dataclasses import dataclass
 
-from scipy.special import betainc
-
-BISECTION_TOL = 1e-12
-_BISECTION_MAX_ITERS = 200
+from scipy.special import betainc, betaincinv
 
 
 def binomial_cdf(v: int, n: int, e: float) -> float:
@@ -35,9 +33,11 @@ def binomial_cdf(v: int, n: int, e: float) -> float:
 def binomial_tail_inversion(v: int, n: int, beta: float) -> float:
     """Largest e with binomial_cdf(v, n, e) >= beta.
 
-    Bisection on [v/n, 1] (widened to [0, 1] if the lower end is already
-    infeasible) to absolute tolerance 1e-12.  The returned value is feasible
-    while any e larger by 1e-9 is not, so the bound is tight.
+    Closed form through the inverse regularized incomplete beta function,
+    e = 1 - I^{-1}(n - v, v + 1; beta), stepped down one ulp (of e or of
+    1 - e, whichever is larger) at a time while rounding leaves it
+    infeasible.  The returned value is feasible while any e larger by 1e-9
+    is not, so the bound is tight.
     """
     if not 0 <= v <= n:
         raise ValueError(f"need 0 <= v <= n, got v={v}, n={n}")
@@ -45,19 +45,11 @@ def binomial_tail_inversion(v: int, n: int, beta: float) -> float:
         raise ValueError(f"confidence level must be in (0, 1], got {beta}")
     if v == n:
         return 1.0
-    lo = v / n
-    if binomial_cdf(v, n, lo) < beta:
-        lo = 0.0
-    hi = 1.0
-    for _ in range(_BISECTION_MAX_ITERS):
-        if hi - lo <= BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if binomial_cdf(v, n, mid) >= beta:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    e = 1.0 - float(betaincinv(n - v, v + 1, beta))
+    while binomial_cdf(v, n, e) < beta:
+        # binomial_cdf sees e through 1 - e, so step whichever moves further
+        e = min(math.nextafter(e, 0.0), 1.0 - math.nextafter(1.0 - e, 1.0))
+    return e
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ GAMMA_BALL = math.exp(-0.5)
 _WIDTH_FLOOR = 1e-6
 _REJECTION_CHUNK = 4096
 _MIN_ACCEPT_RATE = 1e-4
+_PENALTY_ROUNDS = 5
+_PENALTY_START = 10.0
+_MAX_INNER = 150
 
 
 class RbfSamplingError(RuntimeError):
@@ -72,8 +75,15 @@ class RBFSet:
             return vals >= self.gamma
 
     def bounding_box(self, coverage: float = 4.0):
-        """Axis-aligned box around all bumps, centers +/- coverage * width."""
-        pad = coverage * self.widths[:, None]
+        """Axis-aligned box around all bumps, centers +/- pad * width.
+
+        A member's field reaches gamma, so some bump there is at least
+        gamma / m: every member lies within sqrt(2 ln(m / gamma)) widths of
+        a center.  The pad is the larger of that reach and `coverage`, so the
+        box holds the whole set.
+        """
+        reach = math.sqrt(2.0 * math.log(self.m / self.gamma))
+        pad = max(coverage, reach) * self.widths[:, None]
         return (self.centers - pad).min(axis=0), (self.centers + pad).max(axis=0)
 
     def to_dict(self) -> dict:
@@ -142,7 +152,7 @@ def _penalty_value_grad(centers, widths, points, gamma, weight):
         :, None
     ] ** 2
     grad_widths = 2.0 * widths + (coeff[None, :] * bumps * d2).sum(axis=1) / widths**3
-    return value, grad_centers, grad_widths, hinge.max() if hinge.size else 0.0
+    return value, grad_centers, grad_widths
 
 
 def _inflate_to_feasibility(centers, widths, points, gamma, slack=1e-7):
@@ -197,18 +207,15 @@ def fit_rbf(
     m: int,
     gamma: float = GAMMA_BALL,
     init: RBFSet = None,
-    *,
-    penalty_rounds: int = 5,
-    penalty_start: float = 10.0,
-    max_inner: int = 150,
 ) -> RBFSet:
     """Fit an m-bump set containing every row of `points`.
 
     Minimizes the total squared width under the membership constraints with a
-    quadratic penalty (weight x10 per round), gradient descent, and a
-    backtracking line search; only strictly decreasing steps are accepted.  A
-    final width inflation guarantees the containment postcondition, so all
-    training points are members of the returned set (residual >= -1e-6).
+    quadratic penalty: each round runs L-BFGS-B (widths bounded below by the
+    width floor) from the previous round's optimum, then raises the penalty
+    weight tenfold.  A final width inflation guarantees the containment
+    postcondition, so all training points are members of the returned set
+    (residual >= -1e-6).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -228,31 +235,25 @@ def fit_rbf(
     else:
         centers, widths = _farthest_point_seeding(pts, m, gamma)
 
-    weight = penalty_start
-    step = 0.1 * max(float(widths.max()), 1e-3)
-    for _ in range(penalty_rounds):
-        value, g_c, g_w, _ = _penalty_value_grad(centers, widths, pts, gamma, weight)
-        for _ in range(max_inner):
-            grad_norm = math.sqrt(float((g_c**2).sum() + (g_w**2).sum()))
-            if grad_norm < 1e-12:
-                break
-            accepted = False
-            for _ in range(30):
-                trial_c = centers - step * g_c / grad_norm
-                trial_w = np.maximum(widths - step * g_w / grad_norm, _WIDTH_FLOOR)
-                trial_value, t_gc, t_gw, _ = _penalty_value_grad(
-                    trial_c, trial_w, pts, gamma, weight
-                )
-                if trial_value < value:
-                    centers, widths = trial_c, trial_w
-                    value, g_c, g_w = trial_value, t_gc, t_gw
-                    step *= 1.25
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-        weight *= 10.0
+    # imported here: scipy.optimize adds about 0.14 s to `import invset`
+    from scipy.optimize import minimize
+
+    split = centers.size
+
+    def penalty(x, weight):
+        value, g_c, g_w = _penalty_value_grad(
+            x[:split].reshape(m, -1), x[split:], pts, gamma, weight
+        )
+        return value, np.concatenate([g_c.ravel(), g_w])
+
+    x = np.concatenate([centers.ravel(), widths])
+    bounds = [(None, None)] * split + [(_WIDTH_FLOOR, None)] * m
+    for r in range(_PENALTY_ROUNDS):
+        x = minimize(
+            penalty, x, args=(_PENALTY_START * 10.0**r,), jac=True, method="L-BFGS-B",
+            bounds=bounds, options={"maxiter": _MAX_INNER},
+        ).x
+    centers, widths = x[:split].reshape(m, -1), x[split:]
 
     widths = _inflate_to_feasibility(centers, widths, pts, gamma)
     return RBFSet(centers=centers, widths=widths, gamma=gamma)
@@ -264,11 +265,10 @@ def sample_uniform_rbf(
     bounding_box=None,
     seed: int = 0,
     context: int = 0,
-    coverage: float = 4.0,
 ) -> np.ndarray:
     """Uniform sample over the membership region by rejection from a box."""
     points, _ = sample_uniform_rbf_with_volume(
-        rbf_set, n, bounding_box=bounding_box, seed=seed, context=context, coverage=coverage
+        rbf_set, n, bounding_box=bounding_box, seed=seed, context=context
     )
     return points
 
@@ -279,7 +279,6 @@ def sample_uniform_rbf_with_volume(
     bounding_box=None,
     seed: int = 0,
     context: int = 0,
-    coverage: float = 4.0,
 ):
     """Rejection sampling plus the Monte-Carlo volume estimate it implies.
 
@@ -289,7 +288,7 @@ def sample_uniform_rbf_with_volume(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lo, hi = rbf_set.bounding_box(coverage) if bounding_box is None else bounding_box
+    lo, hi = rbf_set.bounding_box() if bounding_box is None else bounding_box
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):

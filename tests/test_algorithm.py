@@ -205,6 +205,45 @@ class TestRun:
             assert res.certificate.epsilon_star <= 0.08
 
 
+class TestHooks:
+    NAMES = (
+        "evaluate_map",
+        "partition",
+        "binomial_tail_inversion",
+        "mvee",
+        "fit_rbf",
+        "sample_uniform_rbf_with_volume",
+    )
+
+    def test_loop_looks_up_each_step_at_call_time(self, monkeypatch):
+        # tools that time the loop from outside swap these module names and
+        # Ellipsoid.sample for wrappers; every one of them must see calls
+        calls = dict.fromkeys(self.NAMES + ("Ellipsoid.sample",), 0)
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(
+                invset.algorithm, name, counting(name, getattr(invset.algorithm, name))
+            )
+        monkeypatch.setattr(Ellipsoid, "sample", counting("Ellipsoid.sample", Ellipsoid.sample))
+        E0 = Ellipsoid.ball(math.sqrt(10), [0, 0])
+        run(cec_poincare_map(), E0, 300, 0.05, 1e-6, 3, seed=1, store_samples=False)
+        res = run(
+            nec_poincare_map(), E0, 300, 0.05, 1e-6, 3, seed=9,
+            representation="rbf", rbf_options=RbfOptions(m=2, gamma=0.25), store_samples=False,
+        )
+        fitted = res.history.records[-1].candidate
+        assert isinstance(fitted, RBFSet)
+        verify_k_step(nec_poincare_map(), fitted, 200, 2, 1e-6, seed=3)
+        assert all(calls.values()), calls
+
+
 class TestEvaluateMap:
     @pytest.mark.parametrize(
         "make_map",

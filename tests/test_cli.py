@@ -70,6 +70,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="integration"):
             load_config(file)
 
+    def test_rbf_coverage_key_is_rejected(self, tmp_path):
+        # the sampling box pads by the set's own reach; there is no coverage to set
+        file = write_config(tmp_path, rbf={"coverage": 4.0})
+        with pytest.raises(ConfigError, match="coverage"):
+            load_config(file)
+
     def test_init_validation(self, tmp_path):
         file = write_config(tmp_path, init={"mode": "guess"})
         with pytest.raises(ConfigError, match="mode"):

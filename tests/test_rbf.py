@@ -86,8 +86,8 @@ class TestFit:
         assert np.all(s2.widths > 1e-5)
 
     def test_objective_decreases_with_fixed_penalty(self):
-        # accepted line-search steps never increase the penalized objective;
-        # verify indirectly: fitted widths are no wider than the seed's
+        # L-BFGS-B steps never increase the penalized objective; verify
+        # indirectly: fitted widths are no wider than the seed's
         rng = np.random.default_rng(4)
         pts = rng.normal(0, 0.5, size=(100, 2))
         fat = RBFSet(centers=[[0.0, 0.0]], widths=[5.0], gamma=0.4)
@@ -142,6 +142,17 @@ class TestSampling:
         s = RBFSet(centers=[[0.0, 0.0]], widths=[sigma], gamma=GAMMA_BALL)
         _, volume = sample_uniform_rbf_with_volume(s, 50_000, seed=8)
         assert volume == pytest.approx(math.pi, rel=0.02)
+
+    def test_box_holds_the_whole_set_at_small_gamma(self):
+        # a member lies within sqrt(2 ln(m / gamma)) widths of some center:
+        # 4.29 at m = 1 and gamma = 1e-4, beyond the 4-width default pad
+        s = RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=1e-4)
+        member = np.array([4.2, 0.0])
+        assert s.contains(member)
+        lo, hi = s.bounding_box()
+        assert np.all(lo <= member) and np.all(member <= hi)
+        _, volume = sample_uniform_rbf_with_volume(s, 20_000, seed=3)
+        assert volume == pytest.approx(math.pi * 2.0 * math.log(1e4), rel=0.02)
 
     def test_deterministic(self):
         s = RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=GAMMA_BALL)
