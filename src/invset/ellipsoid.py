@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import ConvexHull, QhullError
 
-from .rng import sample_stream
+from .rng import rewind, sample_stream
 
 _SYMMETRY_TOL = 1e-10
 
@@ -101,25 +101,39 @@ class Ellipsoid:
     def sample(self, n: int, seed: int, context: int = 0) -> np.ndarray:
         """Draw `n` points uniformly from the ellipsoid volume.
 
-        Each point is produced from its own counter-based stream keyed by
-        (seed, context, index): a Gaussian direction is normalized to the unit
+        Point i is drawn from the counter-based stream keyed by
+        (seed, context, i): a Gaussian direction is normalized to the unit
         sphere, scaled by U^(1/dim) for uniformity in the ball, then mapped
-        through A^{-1}(z + b) using the cached factorization of A.  Results
-        are identical however the loop is scheduled.
+        through A^{-1}(z + b) using the cached factorization of A.  One
+        generator is made per call and rewound per point (`rng.rewind`), so
+        point i consumes exactly the words of `sample_stream(seed, context, i)`.
+        Results are identical however many points are drawn.
         """
         if n < 1:
             raise ValueError("need n >= 1")
         d = self.dim
-        ball = np.empty((n, d))
+        stream = sample_stream(seed, context, 0)
+        fresh = stream.bit_generator.state
+        inv_d = 1.0 / d
+        g = np.empty((n, d))
+        radius = np.empty(n)
+        # Only the draws stay scalar.  The radius uses Python's pow: numpy's
+        # SIMD array power differs from it in the last bit on some inputs.
         for i in range(n):
-            stream = sample_stream(seed, context, i)
-            g = stream.standard_normal(d)
-            norm = np.linalg.norm(g)
-            while norm == 0.0:  # probability-zero guard, stream-local retry
-                g = stream.standard_normal(d)
-                norm = np.linalg.norm(g)
-            radius = stream.random() ** (1.0 / d)
-            ball[i] = (radius / norm) * g
+            rewind(stream, fresh, i)
+            stream.standard_normal(out=g[i])
+            radius[i] = stream.random() ** inv_d
+        # Stacked matmul reduces each row in the order np.linalg.norm does;
+        # einsum and sum(axis=1) do not, and would change the last bit.
+        norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+        for i in np.flatnonzero(norm == 0.0).tolist():
+            # probability-zero guard: redraw the row with a stream-local retry
+            rewind(stream, fresh, i)
+            while norm[i] == 0.0:
+                stream.standard_normal(out=g[i])
+                norm[i] = np.linalg.norm(g[i])
+            radius[i] = stream.random() ** inv_d
+        ball = (radius / norm)[:, None] * g
         return cho_solve(self._chol, (ball + self.b).T).T
 
     def to_dict(self) -> dict:

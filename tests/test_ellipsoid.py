@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_solve
 
+import invset.ellipsoid
 from invset.ellipsoid import Ellipsoid, unit_ball_volume
+from invset.rng import sample_stream
 
 
 def cec_true_set():
@@ -15,6 +18,50 @@ def cec_true_set():
     w, v = np.linalg.eigh(M)
     A = (v * np.sqrt(w)) @ v.T
     return Ellipsoid(A=A, b=A @ c)
+
+
+def rotated_offset_ellipsoid(dim, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((dim, dim))
+    return Ellipsoid(A=B @ B.T + dim * np.eye(dim), b=3.0 * rng.standard_normal(dim))
+
+
+def reference_sample(E, n, seed, context=0, make_stream=sample_stream):
+    # the sampler's definition, one stream per point; Ellipsoid.sample must
+    # match it bit for bit
+    d = E.dim
+    ball = np.empty((n, d))
+    for i in range(n):
+        stream = make_stream(seed, context, i)
+        g = stream.standard_normal(d)
+        norm = np.linalg.norm(g)
+        while norm == 0.0:  # probability-zero guard, stream-local retry
+            g = stream.standard_normal(d)
+            norm = np.linalg.norm(g)
+        radius = stream.random() ** (1.0 / d)
+        ball[i] = (radius / norm) * g
+    return cho_solve(E._chol, (ball + E.b).T).T
+
+
+class ZeroingStream:
+    """Generator whose Gaussian draws read as zero whenever their first value
+    exceeds 0.4, so the zero-norm retry runs on about a third of the rows.
+    Each zeroed draw appends to `zeroed`."""
+
+    def __init__(self, stream, zeroed):
+        self._stream = stream
+        self._zeroed = zeroed
+        self.bit_generator = stream.bit_generator
+
+    def standard_normal(self, size=None, out=None):
+        g = self._stream.standard_normal(size, out=out)
+        if g[0] > 0.4:
+            g[...] = 0.0
+            self._zeroed.append(g)
+        return g
+
+    def random(self):
+        return self._stream.random()
 
 
 class TestContainment:
@@ -133,6 +180,39 @@ class TestSampling:
     def test_context_separates_batches(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         assert not np.array_equal(E.sample(10, seed=9, context=1), E.sample(10, seed=9, context=2))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("seed, context", [(0, 0), (9, 3), (2**40 + 5, 7 * 2**32 + 11)])
+    def test_bit_identical_to_one_stream_per_point(self, dim, n, seed, context):
+        # the last pair has a context >= 2**32, as verify_k_step's contexts are
+        for E in (Ellipsoid.ball(0.5, np.zeros(dim)), rotated_offset_ellipsoid(dim, seed=dim)):
+            assert np.array_equal(E.sample(n, seed, context), reference_sample(E, n, seed, context))
+
+    def test_zero_norm_retry_matches_per_point_streams(self, monkeypatch):
+        zeroed = []
+
+        def zeroing_stream(seed, context, index):
+            return ZeroingStream(sample_stream(seed, context, index), zeroed)
+
+        E = rotated_offset_ellipsoid(2, seed=4)
+        expected = reference_sample(E, 200, 6, 1, make_stream=zeroing_stream)
+        zeroed.clear()
+        monkeypatch.setattr(invset.ellipsoid, "sample_stream", zeroing_stream)
+        pts = E.sample(200, seed=6, context=1)
+        assert len(zeroed) > 50
+        assert np.array_equal(pts, expected)
+
+    def test_one_stream_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_stream(seed, context, index):
+            calls.append((seed, context, index))
+            return sample_stream(seed, context, index)
+
+        monkeypatch.setattr(invset.ellipsoid, "sample_stream", counting_stream)
+        Ellipsoid.ball(1.0, [0.0, 0.0]).sample(1000, seed=3, context=2)
+        assert calls == [(3, 2, 0)]
 
 
 class TestSerialization:
