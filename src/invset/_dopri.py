@@ -4,7 +4,8 @@ Integrates a batch of independent trajectories of the same vector field, each
 with its own adaptive step size, acceptance decisions, and termination.  All
 per-row control flow depends only on that row, so every trajectory's result
 is a pure function of its own initial state: the batch partitioning cannot
-change any answer.
+change any answer.  The stepper keeps the stages of its last step only; the
+dense output of that step is built on request, for the rows that ask.
 """
 
 import numpy as np
@@ -62,30 +63,40 @@ def initial_steps(fun, y0, t_bound, rtol, atol):
 
 
 class DenseSegment:
-    """Quartic interpolant of one accepted step of one trajectory."""
+    """Quartic interpolants of the last accepted step of a set of rows.
+
+    `coeffs[i]` is `k_i.T @ _P` for the stage stack `k_i` of row i, taken as
+    one stacked `matmul` over the rows with each `k_i.T` laid out as the
+    one-row product lays it out; that equals the one-row product bit for bit
+    (an `einsum` does not).
+    """
 
     __slots__ = ("t_old", "h", "y_old", "coeffs")
 
-    def __init__(self, t_old, h, y_old, k_stack):
-        self.t_old = t_old
-        self.h = h
-        self.y_old = y_old
-        self.coeffs = k_stack.T @ _P  # (dim, 4)
+    def __init__(self, t_old, h, y_old, k_rows):
+        self.t_old = t_old  # (r,)
+        self.h = h  # (r,)
+        self.y_old = y_old  # (r, dim)
+        self.coeffs = k_rows.transpose(0, 2, 1) @ _P  # (r, 7, dim) -> (r, dim, 4)
 
-    def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        poly = self.coeffs[:, 3]
+    def __call__(self, t, sub=slice(None)):
+        """States at times `t` (one per row of `sub`, an index into the rows)."""
+        h = self.h[sub]
+        x = (t - self.t_old[sub]) / h
+        coeffs = self.coeffs[sub]
+        poly = coeffs[..., 3]
         for j in (2, 1, 0):
-            poly = poly * x + self.coeffs[:, j]
-        return self.y_old + self.h * x * poly
+            poly = poly * x[:, None] + coeffs[..., j]
+        return self.y_old[sub] + (h * x)[:, None] * poly
 
 
 class BatchStepper:
     """Adaptive RK5(4) over an (n, dim) batch with per-row step control.
 
     Use `active` to see which rows still run, call `step()` to advance every
-    active row by one attempted step, then inspect `accepted_rows` and per-row
-    dense segments for event handling.  Rows are retired with `finish(rows)`.
+    active row by one attempted step, then inspect `accepted_rows`;
+    `segment(rows)` gives the dense output of the last step for some of them,
+    for event handling.  Rows are retired with `finish(rows)`.
     """
 
     def __init__(self, fun, y0, t_bound, rtol, atol):
@@ -98,20 +109,21 @@ class BatchStepper:
         self.t = np.zeros(self.n)
         self.y = y0.copy()
         self.active = np.ones(self.n, dtype=bool)
-        self.h = None
-        self.f = None  # FSAL stage for each row
         self.rejected_last = np.zeros(self.n, dtype=bool)
         self.accepted_rows = np.empty(0, dtype=int)
-        self._segments = [None] * self.n
-        h0, f0 = initial_steps(fun, y0, self.t_bound, self.rtol, self.atol)
-        self.h = h0
-        self.f = f0
+        # the last step: attempted rows and their t, h, y and stages (7, m, dim)
+        self._last = None
+        # per-row step sizes and FSAL stages
+        self.h, self.f = initial_steps(fun, y0, self.t_bound, self.rtol, self.atol)
 
     def finish(self, rows):
         self.active[rows] = False
 
-    def segment(self, row) -> DenseSegment:
-        return self._segments[row]
+    def segment(self, rows) -> DenseSegment:
+        """Dense output of the last step for `rows`, accepted in that step."""
+        attempted, t, h, y, k = self._last
+        local = np.searchsorted(attempted, rows)
+        return DenseSegment(t[local], h[local], y[local], k.transpose(1, 0, 2)[local])
 
     def step(self):
         """Attempt one step on every active row; sets `accepted_rows`."""
@@ -147,12 +159,9 @@ class BatchStepper:
         factor = np.where(accept & self.rejected_last[rows], np.minimum(factor, 1.0), factor)
 
         acc_rows = rows[accept]
+        self._last = (rows, t, h, y, k)
         if acc_rows.size:
             idx = np.flatnonzero(accept)
-            for local, row in zip(idx, acc_rows):
-                self._segments[row] = DenseSegment(
-                    t[local], h[local], y[local].copy(), k[:, local, :].copy()
-                )
             self.t[acc_rows] = t[idx] + h[idx]
             self.y[acc_rows] = y_new[idx]
             self.f[acc_rows] = k[6, idx]

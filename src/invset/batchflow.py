@@ -5,8 +5,11 @@ downward guard crossing and projects it to the chart, for a whole batch of
 points on the batched RK5(4) stepper.  Every row is integrated with its own
 adaptive steps, so each result is a pure function of its own input:
 evaluating points one at a time, in any grouping, or in one call gives
-identical numbers.  `hybrid_callbacks` lifts a scalar
-`HybridSystemDefinition` onto the engine by looping over rows.
+identical numbers.  After each step, all rows whose guard changed sign are
+localized together: one dense output over those rows and one vectorized
+Brent solve (`brentq`, scipy's algorithm row for row) on the guard along it.
+`hybrid_callbacks` lifts a scalar `HybridSystemDefinition` onto the engine by
+looping over rows.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._dopri import BatchStepper
 from .hybrid import (
@@ -28,6 +30,86 @@ from .hybrid import (
 )
 
 _RUNNING, _DONE, _FAIL_TIME, _FAIL_ESCAPE, _FAIL_REIMPACT, _FAIL_INVALID = range(6)
+
+# scipy.optimize.brentq's defaults
+_XTOL = 2e-12
+_RTOL = 4 * np.finfo(float).eps
+_MAXITER = 100
+
+
+def brentq(f, a, b):
+    """Roots of `f` in the brackets [a[i], b[i]], one Brent solve per row.
+
+    `f(x, rows)` maps the abscissae `x` of the bracket rows `rows` (an index
+    array) to their values.  Each row runs the operations of scipy's C
+    `brentq` at its default xtol, rtol and iteration cap, so it returns the
+    same root bit for bit; rows share a loop but not a step, and a row's
+    iteration count depends on that row alone.  `f` is called on both ends
+    once, then once per iteration on the rows still running.  A row whose
+    bracket has no sign change, whose `f` returns NaN or that does not
+    converge gets a NaN root, where scipy raises.
+    """
+    xpre = np.array(a, dtype=float)
+    xcur = np.array(b, dtype=float)
+    rows = np.arange(xpre.size)
+    fpre = f(xpre, rows)
+    fcur = f(xcur, rows)
+    root = np.full(xpre.size, np.nan)
+    valid = ~(np.isnan(fpre) | np.isnan(fcur))
+    at_a = valid & (fpre == 0)
+    at_b = valid & ~at_a & (fcur == 0)
+    root[at_a] = xpre[at_a]
+    root[at_b] = xcur[at_b]
+    run = valid & ~(at_a | at_b) & (np.signbit(fpre) != np.signbit(fcur))
+    rows, xpre, xcur, fpre, fcur = rows[run], xpre[run], xcur[run], fpre[run], fcur[run]
+    xblk = np.zeros(rows.size)
+    fblk = np.zeros(rows.size)
+    spre = np.zeros(rows.size)
+    scur = np.zeros(rows.size)
+    for _ in range(_MAXITER):
+        if rows.size == 0:
+            break
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[rows[done]] = xcur[done]
+        go = ~done
+        rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            v[go] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+        )
+        if rows.size == 0:
+            break
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolated, extrapolated)
+        limit = 3 * np.abs(sbis) - delta
+        limit = np.where(np.abs(spre) < limit, np.abs(spre), limit)
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < limit)
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, rows)
+        live = ~np.isnan(fcur)
+        if not live.all():
+            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                v[live] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+            )
+    return root
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +154,40 @@ def hybrid_callbacks(system: HybridSystemDefinition) -> BatchHybridCallbacks:
     )
 
 
+def _localize(cb, options, stepper, rows, h_now, status, hit_state, hit_time):
+    """Settle the guard crossings of the last step for `rows` (h_now <= 0).
+
+    A row whose step ends on the guard takes the step's end; the others take
+    the Brent root of the guard along the step's dense output.  A crossing
+    that is non-transversal or filtered out leaves its row running; a root
+    whose guard residual exceeds `guard_tol` (NaN included, for a failed
+    solve) fails its row.
+    """
+    seg = stepper.segment(rows)
+    t_root = stepper.t[rows]
+    solve = np.flatnonzero(h_now != 0.0)
+    if solve.size:
+        guard_of_t = lambda t, sub: cb.guard(seg(t, solve[sub]))
+        t_root[solve] = brentq(guard_of_t, seg.t_old[solve], t_root[solve])
+    x_root = seg(t_root)
+    with np.errstate(invalid="ignore"):
+        missed = ~(np.abs(cb.guard(x_root)) <= options.guard_tol)
+    met = np.flatnonzero(~missed)
+    accept = cb.guard_velocity(x_root[met]) < 0.0
+    if cb.event_filter is not None:
+        accept &= cb.event_filter(x_root[met])
+    accepted = np.zeros(rows.size, dtype=bool)
+    accepted[met[accept]] = True
+    early = accepted & (t_root < options.t_min)
+    done = accepted & ~early
+    status[rows[missed]] = _FAIL_TIME
+    status[rows[early]] = _FAIL_REIMPACT
+    status[rows[done]] = _DONE
+    hit_state[rows[done]] = x_root[done]
+    hit_time[rows[done]] = t_root[done]
+    stepper.finish(rows[missed | accepted])
+
+
 def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: IntegrationOptions):
     """Flow every row to its accepted guard crossing.
 
@@ -110,30 +226,8 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
                 stepper.finish(gone)
         h_now = cb.guard(y_now)
         crossing = (h_prev[rows] > 0.0) & (h_now <= 0.0) & (status[rows] == _RUNNING)
-        for local in np.flatnonzero(crossing):
-            row = rows[local]
-            seg = stepper.segment(row)
-            guard_of_t = lambda t: float(cb.guard(seg(t)[None, :])[0])
-            if h_now[local] == 0.0:
-                t_root = stepper.t[row]
-            else:
-                t_root = brentq(guard_of_t, seg.t_old, stepper.t[row])
-            x_root = seg(t_root)
-            if abs(guard_of_t(t_root)) > options.guard_tol:
-                status[row] = _FAIL_TIME
-                stepper.finish(np.array([row]))
-                continue
-            point = x_root[None, :]
-            transversal = float(cb.guard_velocity(point)[0]) < 0.0
-            allowed = cb.event_filter is None or bool(cb.event_filter(point)[0])
-            if transversal and allowed:
-                if t_root < options.t_min:
-                    status[row] = _FAIL_REIMPACT
-                else:
-                    status[row] = _DONE
-                    hit_state[row] = x_root
-                    hit_time[row] = t_root
-                stepper.finish(np.array([row]))
+        if crossing.any():
+            _localize(cb, options, stepper, rows[crossing], h_now[crossing], status, hit_state, hit_time)
         still = stepper.active[rows]
         h_prev[rows[still]] = h_now[still]
         timed_out = stepper.active & (stepper.t >= options.max_flow_time)
@@ -194,8 +288,8 @@ class VectorizedReturnMap:
             hit, _, flow_status = _flow_batch(cb, x_plus, self.options)
             status[live] = flow_status
             done_local = flow_status == _DONE
-            live_rows = np.flatnonzero(live)
-            out[live_rows[done_local]] = cb.chart(hit[done_local])
+            if done_local.any():
+                out[np.flatnonzero(live)[done_local]] = cb.chart(hit[done_local])
         return out, status == _DONE, status
 
     def __call__(self, y: np.ndarray) -> np.ndarray:

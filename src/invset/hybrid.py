@@ -124,13 +124,16 @@ def integrate_to_guard(system, x_plus, options: IntegrationOptions = DEFAULT_INT
     """Flow from `x_plus` to the next accepted guard crossing.
 
     Returns (x_minus, T) with |h(x_minus)| < guard_tol and hdot(x_minus) < 0.
-    Sign changes of h across accepted steps are refined on the dense-output
-    interpolant; crossings that are non-transversal or rejected by the event
+    A sign change of h across an accepted step is localized on that step's
+    dense output, by one Brent solve batched over every row that crossed in
+    the step; crossings that are non-transversal or rejected by the event
     filter are skipped and the flow continues.
 
     Raises GuardNotReached when the time budget runs out, the trajectory
-    escapes or `x_plus` lies outside the domain, and ImmediateReimpact for an
-    accepted crossing before t_min.
+    escapes, `x_plus` lies outside the domain or a crossing cannot be
+    localized to guard_tol (a NaN guard value, or no sign change on the
+    interpolant), and ImmediateReimpact for an accepted crossing before
+    t_min.
     """
     from .batchflow import flow_to_guard, hybrid_callbacks  # batchflow imports this module
 

@@ -90,19 +90,29 @@ class TestConfigValidation:
             load_config(file)
 
 
-def test_one_engine_without_scipy_integrate_or_process_pool():
-    # every return map runs on the batched engine, in this process
+def _modules_after_import(select):
+    """Sorted names of loaded modules matching the expression `select` (of
+    `m`) after importing the package, its CLI and its systems afresh."""
     code = (
         "import sys, invset, invset.cli, invset.systems\n"
-        "print(sorted(m for m in sys.modules"
-        " if m == 'scipy.integrate' or m == 'concurrent.futures.process'))"
+        f"print(sorted(m for m in sys.modules if {select}))"
     )
     src = str(Path(invset.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120, env=env
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_one_engine_without_scipy_integrate_or_process_pool():
+    # every return map runs on the batched engine, in this process
+    assert _modules_after_import("m == 'scipy.integrate' or m == 'concurrent.futures.process'") == "[]"
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the engine's root finder is its own; fit_rbf imports scipy.optimize when called
+    assert _modules_after_import("m == 'scipy.optimize'") == "[]"
 
 
 class TestRunCommand:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from invset._dopri import _P, BatchStepper
+from invset.batchflow import brentq
 from invset.hybrid import (
     GuardNotReached,
     HybridSystemDefinition,
@@ -217,3 +220,117 @@ class TestPoincareStep:
         )
         out = poincare_step(sys, np.array([0.7]))
         assert out[0] == pytest.approx(0.7, abs=1e-12)
+
+
+def _scipy_roots(f, a, b):
+    """scipy's brentq per row on `f(x, rows)` of one-element arrays, with
+    iteration counts; NaN and -1 where it raises."""
+    roots = np.full(a.size, np.nan)
+    iterations = np.full(a.size, -1)
+    for i in range(a.size):
+        try:
+            root, info = scipy.optimize.brentq(
+                lambda x: float(f(np.array([x]), np.array([i]))[0]), a[i], b[i], full_output=True
+            )
+        except (ValueError, RuntimeError):
+            continue
+        roots[i], iterations[i] = root, info.iterations
+    return roots, iterations
+
+
+class TestBatchedLocalization:
+    @pytest.mark.parametrize(
+        "g, exact_root",
+        [
+            (lambda x: (x - 0.5) * (x * x + 1.0) * (x + 2.0), 0.5),
+            (lambda x: np.sin(3.0 * x) - 0.5 * x, 0.0),
+            (lambda x: np.exp(x) - 1.0 - 2.0 * x, 0.0),
+        ],
+        ids=["polynomial", "trigonometric", "exponential"],
+    )
+    def test_brentq_matches_scipy_row_for_row(self, g, exact_root):
+        rng = np.random.default_rng(21)
+        a = exact_root - 10.0 ** rng.uniform(-8, 0, 300)
+        b = exact_root + 10.0 ** rng.uniform(-8, 0, 300)
+        a[:5] = exact_root  # roots exact at an endpoint
+        b[5:10] = exact_root
+        f = lambda x, rows: g(x)
+        expected, iterations = _scipy_roots(f, a, b)
+        assert np.isfinite(expected).sum() > 250
+        assert len(set(iterations[iterations > 0])) >= 4
+        assert np.array_equal(brentq(f, a, b), expected, equal_nan=True)
+
+    def test_brentq_failures_are_nan_rows(self):
+        def f(x, rows):
+            cubic = np.where((x > 0.1) & (x < 0.3), np.nan, x**3 - 0.125)
+            return np.where(rows == 1, np.where(x < 1e-300, -1.0, 1.0), cubic)
+
+        # a good bracket; a step function that 100 iterations do not resolve;
+        # NaN at an end; NaN inside; a root exact at an end; no sign change
+        a = np.array([0.4, 0.0, 0.2, 0.0, 0.4, 0.6])
+        b = np.array([1.0, 1e30, 1.0, 1.0, 0.5, 1.0])
+        roots = brentq(f, a, b)
+        expected, _ = _scipy_roots(f, a, b)
+        assert np.array_equal(roots, expected, equal_nan=True)
+        assert np.isnan(roots[[1, 2, 3, 5]]).all()
+        assert roots[4] == 0.5
+        assert roots[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_brentq_calls_back_on_running_rows_only(self):
+        seen = []
+
+        def f(x, rows):
+            seen.append(rows.copy())
+            return x**3 - 0.3
+
+        a, b = np.zeros(6), np.array([1.0, 0.7, 0.67, 0.6695, 0.669433, 0.6694329501])
+        brentq(f, a, b)
+        assert [len(rows) for rows in seen[:2]] == [6, 6]
+        assert all(np.all(np.diff(rows) > 0) for rows in seen)
+        assert len(seen[-1]) < 6
+
+    def test_segment_coefficients_equal_per_row_products(self):
+        rng = np.random.default_rng(8)
+        n, dim = 40, 4
+        y0 = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-60, 60, (n, dim))
+        mix = rng.standard_normal((dim, dim))
+        stepper = BatchStepper(lambda y: y @ mix, y0, 1.0, 1e-6, 1e-12)
+        stepper.step()
+        rows = stepper.accepted_rows[::3]
+        assert rows.size > 5
+        attempted, _, _, _, k = stepper._last
+        seg = stepper.segment(rows)
+        for i, row in enumerate(rows):
+            local = np.searchsorted(attempted, row)
+            assert np.array_equal(seg.coeffs[i], k[:, local, :].copy().T @ _P)
+
+
+def nan_guard_system():
+    """Flow x0' = 1 from x0 = 0 to the guard 1 - x0^3 = 0; for x1 > 0 the
+    guard is NaN on 0.3 < x0 < 0.999, inside the crossing step."""
+
+    def guard(x):
+        if x[1] > 0 and 0.3 < x[0] < 0.999:
+            return float("nan")
+        return 1.0 - x[0] ** 3
+
+    return HybridSystemDefinition(
+        state_dim=2,
+        reduced_dim=1,
+        vector_field=lambda x: np.array([1.0, 0.0]),
+        guard_function=guard,
+        reset=lambda x: np.array([0.0, x[1]]),
+        chart=lambda x: x[1:],
+        chart_inverse=lambda y: np.array([1.0, y[0]]),
+    )
+
+
+def test_failed_localization_fails_only_its_row():
+    pmap = PoincareMap.from_hybrid_system(nan_guard_system())
+    out, ok = pmap.batch_evaluator(np.array([[-1.0], [1.0]]))
+    assert ok.tolist() == [True, False]
+    assert np.isnan(out[1]).all()
+    assert np.array_equal(out[0], pmap(np.array([-1.0])))
+    assert out[0][0] == -1.0
+    with pytest.raises(GuardNotReached):
+        pmap(np.array([1.0]))
