@@ -123,9 +123,16 @@ class RunResult:
 
 @dataclass(frozen=True, eq=False)
 class KStepRecord:
+    """Bounds at step k of one verify pass: the k-th iterate outside the set
+    (`violations`, `epsilon_star`) and an exit at some step j <= k (`exits`,
+    `epsilon_star_exit`); a failed evaluation counts as outside from the step
+    it fails on."""
+
     steps: int
     violations: int
     epsilon_star: float
+    exits: int
+    epsilon_star_exit: float
 
 
 @dataclass(frozen=True)
@@ -168,10 +175,10 @@ def _draw(candidate, n, seed, context):
     return candidate.sample(n, seed, context), candidate.volume()
 
 
-def _score(pmap, candidate, n, k, beta, seed, context):
-    """Draw, push k map steps, partition, bound: (volume, batch, eps_star)."""
+def _score(pmap, candidate, n, beta, seed, context):
+    """Draw, push one map step, partition, bound: (volume, batch, eps_star)."""
     points, volume = _draw(candidate, n, seed, context)
-    images, ok = evaluate_map(pmap, points, k)
+    images, ok = evaluate_map(pmap, points)
     batch = partition(candidate, points, images, ok)
     return volume, batch, binomial_tail_inversion(batch.violations, n, beta)
 
@@ -221,7 +228,7 @@ def run(
     violation_history = []
     for iteration in range(1, max_iters + 1):
         started = time.perf_counter()
-        volume, batch, eps_star = _score(pmap, candidate, n_samples, 1, beta, seed, iteration)
+        volume, batch, eps_star = _score(pmap, candidate, n_samples, beta, seed, iteration)
         violation_history.append(batch.violations)
         certified = eps_star <= eps_target
         if not certified:
@@ -284,20 +291,39 @@ def verify_k_step(
     beta: float,
     seed: int,
 ) -> list:
-    """Certify k-step containment for each k in 1..k_max.
+    """Certify k-step containment for each k in 1..k_max from one trajectory pass.
 
-    For each k a fresh batch of `n_samples` points is drawn from the set and
-    propagated k map applications; only the k-th iterate is tested, with
-    evaluation failures counted as violations at the step they occur.
+    One batch of `n_samples` points is drawn from the set and stepped k_max
+    times, each step mapping the rows still alive; a row whose evaluation
+    fails stays failed.  After step k the record scores two events of each
+    row: its k-th iterate lies outside the set or its evaluation failed
+    (`violations`, `epsilon_star`), and it was outside at some step j <= k
+    or failed (`exits`, `epsilon_star_exit`, both non-decreasing in k).  The
+    batch is i.i.d. from the set, so each per-k bound holds at confidence
+    1 - beta on its own; the records share one batch, so a statement about
+    all k at once needs a union bound over k.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    points, _ = _draw(invariant_set, n_samples, seed, _VERIFY_CONTEXT_BASE)
+    images = points.copy()
+    alive = np.ones(n_samples, dtype=bool)
+    exited = np.zeros(n_samples, dtype=bool)
     results = []
     for k in range(1, k_max + 1):
-        _, batch, eps_star = _score(
-            pmap, invariant_set, n_samples, k, beta, seed, _VERIFY_CONTEXT_BASE + k
-        )
+        stepped, step_ok = evaluate_map(pmap, images[alive], 1)
+        images[alive] = stepped
+        alive[alive] = step_ok
+        batch = partition(invariant_set, points, images, alive)
+        exited |= ~batch.flags
+        exits = int(exited.sum())
         results.append(
-            KStepRecord(steps=k, violations=batch.violations, epsilon_star=eps_star)
+            KStepRecord(
+                steps=k,
+                violations=batch.violations,
+                epsilon_star=binomial_tail_inversion(batch.violations, n_samples, beta),
+                exits=exits,
+                epsilon_star_exit=binomial_tail_inversion(exits, n_samples, beta),
+            )
         )
     return results

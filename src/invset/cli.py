@@ -283,6 +283,10 @@ def cmd_run(config_path) -> int:
 
 
 def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
+    if k_max < 1:
+        raise ConfigError(f"--kmax must be >= 1, got {k_max}")
+    if n_samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {n_samples}")
     result_file = Path(result_path)
     try:
         payload = json.loads(result_file.read_text())
@@ -297,9 +301,12 @@ def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
     records = verify_k_step(
         bundle.poincare_map, invariant_set, n_samples, k_max, float(cfg["beta"]), seed
     )
-    lines = ["k,violations,epsilon_star"]
+    lines = ["k,violations,epsilon_star,exits,epsilon_star_exit"]
     for rec in records:
-        lines.append(f"{rec.steps},{rec.violations},{_float_cell(rec.epsilon_star)}")
+        lines.append(
+            f"{rec.steps},{rec.violations},{_float_cell(rec.epsilon_star)},"
+            f"{rec.exits},{_float_cell(rec.epsilon_star_exit)}"
+        )
     out = result_file.parent / "kstep.csv"
     out.write_text("\n".join(lines) + "\n")
     worst = max(rec.epsilon_star for rec in records)

@@ -70,9 +70,10 @@ class RBFSet:
         return bool(self.values(np.asarray(x, dtype=float)[None, :])[0] >= self.gamma)
 
     def contains_batch(self, points) -> np.ndarray:
-        vals = self.values(points)
-        with np.errstate(invalid="ignore"):
-            return vals >= self.gamma
+        """Vectorized membership; NaN rows are outside, and so are rows so far
+        off that their squared distance overflows (the field there is 0)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.values(points) >= self.gamma
 
     def bounding_box(self, coverage: float = 4.0):
         """Axis-aligned box around all bumps, centers +/- pad * width.

@@ -14,7 +14,7 @@ from invset.algorithm import (
     verify_k_step,
 )
 from invset.ellipsoid import Ellipsoid
-from invset.hybrid import IntegrationOptions, PoincareMap
+from invset.hybrid import IntegrationOptions, PoincareMap, contraction_init, fd_jacobian
 from invset.rbf import RBFSet
 from invset.systems import (
     COMPASS_GAIT_SECTION_SEED,
@@ -281,6 +281,26 @@ class TestEvaluateMap:
         assert np.allclose(out, 300.0)
 
 
+def _negate(y):
+    return -y
+
+
+def _walker_set_and_map():
+    # the shipped contraction scale 5.2: some rows fail, some leave, some stay
+    pmap = compass_gait_poincare_map(
+        None, IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_flow_time=3.0)
+    )
+    jacobian = fd_jacobian(pmap, COMPASS_GAIT_SECTION_SEED)
+    return contraction_init(jacobian, 5.2, center=COMPASS_GAIT_SECTION_SEED), pmap
+
+
+def _cec_double_area_set_and_map():
+    # M-norms in (1, sqrt 2) stay inside for a few steps, then leave
+    true_set = cec_true_invariant_set(CecParams())
+    radius = math.sqrt(2.0)
+    return Ellipsoid(A=true_set.A / radius, b=true_set.b / radius), cec_poincare_map()
+
+
 class TestVerifyKStep:
     def test_identity_is_constant(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
@@ -290,7 +310,106 @@ class TestVerifyKStep:
             assert rec.violations == 0
             assert abs(rec.epsilon_star - closed_form) < 1e-9
 
-    def test_fresh_samples_per_step_count(self):
+    def test_one_record_per_step(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         records = verify_k_step(IDENTITY_MAP, E, 100, 5, 1e-6, seed=13)
         assert [rec.steps for rec in records] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "make, n, k_max",
+        [(_cec_double_area_set_and_map, 400, 8), (_walker_set_and_map, 24, 4)],
+        ids=["cec", "walker"],
+    )
+    def test_one_pass_counts_equal_k_fold_maps(self, make, n, k_max, monkeypatch):
+        # per-row purity: stepping one batch k times scores the k-th iterate
+        # exactly as mapping the same batch k times over again
+        invariant_set, pmap = make()
+        drawn = []
+        real_sample = Ellipsoid.sample
+
+        def recording_sample(ellipsoid, *args, **kwargs):
+            drawn.append(real_sample(ellipsoid, *args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(Ellipsoid, "sample", recording_sample)
+        records = verify_k_step(pmap, invariant_set, n, k_max, 1e-6, seed=5)
+        (points,) = drawn
+        expected = [
+            partition(invariant_set, points, *evaluate_map(pmap, points, k)).violations
+            for k in range(1, k_max + 1)
+        ]
+        assert [rec.violations for rec in records] == expected
+        assert len(set(expected)) > 1
+
+    @pytest.mark.parametrize(
+        "invariant_set, sampler",
+        [
+            (_cec_double_area_set_and_map()[0], "Ellipsoid.sample"),
+            (RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=0.5), "rbf"),
+        ],
+        ids=["ellipsoid", "rbf"],
+    )
+    def test_work_budget(self, invariant_set, sampler, monkeypatch):
+        # one draw and at most n rows per step: n * k_max rows in all
+        n, k_max = 200, 20
+        rows = []
+        draws = {"Ellipsoid.sample": 0, "rbf": 0}
+        cec = cec_poincare_map()
+
+        def counting_batch(points):
+            rows.append(points.shape[0])
+            return cec.batch_evaluator(points)
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                draws[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        pmap = PoincareMap.from_function(cec.evaluator, 2, batch_fn=counting_batch)
+        monkeypatch.setattr(Ellipsoid, "sample", counting("Ellipsoid.sample", Ellipsoid.sample))
+        monkeypatch.setattr(
+            invset.algorithm,
+            "sample_uniform_rbf_with_volume",
+            counting("rbf", invset.algorithm.sample_uniform_rbf_with_volume),
+        )
+        verify_k_step(pmap, invariant_set, n, k_max, 1e-6, seed=6)
+        assert draws == {name: int(name == sampler) for name in draws}
+        assert 0 < len(rows) <= k_max
+        assert sum(rows) <= n * k_max
+
+    def test_alone_calls_the_module_steps(self, monkeypatch):
+        # tools that time verify from outside swap these module names
+        calls = dict.fromkeys(("evaluate_map", "partition", "binomial_tail_inversion"), 0)
+        for name in calls:
+            real = getattr(invset.algorithm, name)
+
+            def wrapper(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(invset.algorithm, name, wrapper)
+        verify_k_step(cec_poincare_map(), Ellipsoid.ball(1.0, [0.0, 0.0]), 100, 3, 1e-6, seed=7)
+        assert all(calls.values()), calls
+
+    def test_exits_stay_counted_when_a_two_cycle_returns(self):
+        pmap = PoincareMap.from_function(_negate, 2)
+        records = verify_k_step(pmap, Ellipsoid.ball(1.0, [0.5, 0.0]), 300, 6, 1e-6, seed=8)
+        assert records[0].violations > 0
+        for rec in records:
+            assert rec.exits == records[0].violations
+            assert rec.epsilon_star_exit == records[0].epsilon_star
+            if rec.steps % 2 == 0:
+                assert rec.violations == 0
+                assert rec.epsilon_star_exit > rec.epsilon_star
+
+    def test_exits_are_monotone_and_dominate_on_cec(self):
+        invariant_set, pmap = _cec_double_area_set_and_map()
+        records = verify_k_step(pmap, invariant_set, 400, 20, 1e-6, seed=9)
+        for earlier, later in zip(records, records[1:]):
+            assert later.exits >= earlier.exits
+            assert later.epsilon_star_exit >= earlier.epsilon_star_exit
+        for rec in records:
+            assert rec.exits >= rec.violations
+            assert rec.epsilon_star_exit >= rec.epsilon_star

@@ -192,9 +192,18 @@ class TestVerifyCommand:
         result = tmp_path / "out" / "result.json"
         assert main(["verify", str(result), "--kmax", "5", "--samples", "300", "--seed", "3"]) == EXIT_OK
         lines = (tmp_path / "out" / "kstep.csv").read_text().splitlines()
-        assert lines[0] == "k,violations,epsilon_star"
+        assert lines[0] == "k,violations,epsilon_star,exits,epsilon_star_exit"
         assert len(lines) == 6
         assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("flag", ["--kmax", "--samples"])
+    def test_nonpositive_argument_is_a_config_error(self, tmp_path, capsys, flag):
+        file = write_config(tmp_path)
+        main(["run", str(file)])
+        result = tmp_path / "out" / "result.json"
+        assert main(["verify", str(result), flag, "0"]) == EXIT_ERROR
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "kstep.csv").exists()
 
     def test_missing_result_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == EXIT_ERROR
