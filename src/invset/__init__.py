@@ -11,6 +11,7 @@ from .algorithm import (
     run,
     verify_k_step,
 )
+from .batchflow import BatchHybridCallbacks, integrate_to_guard, vectorized_poincare_map
 from .ellipsoid import (
     DegenerateCloudWarning,
     Ellipsoid,
@@ -22,7 +23,6 @@ from .hybrid import (
     DEFAULT_INTEGRATION,
     FiniteDifferenceWarning,
     GuardNotReached,
-    HybridSystemDefinition,
     ImmediateReimpact,
     IntegrationOptions,
     InvalidSectionPoint,
@@ -33,14 +33,13 @@ from .hybrid import (
     contraction_init,
     fd_jacobian,
     find_fixed_point,
-    integrate_to_guard,
-    poincare_step,
     spectral_radius,
 )
 from .pac import PacCertificate, binomial_cdf, binomial_tail_inversion, certify
 from .rbf import GAMMA_BALL, RbfSamplingError, RBFSet, fit_rbf, sample_uniform_rbf
 
 __all__ = [
+    "BatchHybridCallbacks",
     "CollapseError",
     "DEFAULT_INTEGRATION",
     "DegenerateCloudWarning",
@@ -48,7 +47,6 @@ __all__ = [
     "FiniteDifferenceWarning",
     "GAMMA_BALL",
     "GuardNotReached",
-    "HybridSystemDefinition",
     "ImmediateReimpact",
     "IntegrationOptions",
     "InvalidSectionPoint",
@@ -75,11 +73,11 @@ __all__ = [
     "integrate_to_guard",
     "mvee",
     "partition",
-    "poincare_step",
     "run",
     "sample_uniform_rbf",
     "spectral_radius",
     "unit_ball_volume",
+    "vectorized_poincare_map",
     "verify_k_step",
 ]
 

@@ -8,25 +8,21 @@ evaluating points one at a time, in any grouping, or in one call gives
 identical numbers.  After each step, all rows whose guard changed sign are
 localized together: one dense output over those rows and one vectorized
 Brent solve (`brentq`, scipy's algorithm row for row) on the guard along it.
-`hybrid_callbacks` lifts a scalar `HybridSystemDefinition` onto the engine by
-looping over rows.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ._dopri import BatchStepper
 from .hybrid import (
+    DEFAULT_INTEGRATION,
     GuardNotReached,
-    HybridSystemDefinition,
     ImmediateReimpact,
     IntegrationOptions,
     InvalidSectionPoint,
     PoincareMap,
-    _hdot,
 )
 
 _RUNNING, _DONE, _FAIL_TIME, _FAIL_ESCAPE, _FAIL_REIMPACT, _FAIL_INVALID = range(6)
@@ -114,7 +110,16 @@ def brentq(f, a, b):
 
 @dataclass(frozen=True, eq=False)
 class BatchHybridCallbacks:
-    """Batch-vectorized system functions, each mapping (n, ...) arrays."""
+    """Single-guard hybrid system with a chart on its guard surface.
+
+    Each function maps a batch of states (n, state_dim) or chart points
+    (n, reduced_dim), indexing them along the last axis.  `guard` h defines
+    the domain {h >= 0}; resets fire on downward (`guard_velocity` < 0)
+    crossings of {h = 0} that pass `event_filter`.  `chart` maps a guard
+    state to reduced coordinates and `chart_inverse` back onto the guard;
+    `escape_condition` flags states that have left the operating region so
+    their flow is abandoned early.
+    """
 
     state_dim: int
     reduced_dim: int
@@ -126,32 +131,6 @@ class BatchHybridCallbacks:
     chart_inverse: Callable[[np.ndarray], np.ndarray]  # (n, rd) -> (n, sd)
     event_filter: Callable[[np.ndarray], np.ndarray] = None  # (n, sd) -> bool (n,)
     escape_condition: Callable[[np.ndarray], np.ndarray] = None  # (n, sd) -> bool (n,)
-
-
-def _by_rows(fn, dtype, states):
-    return np.array([fn(x) for x in states], dtype=dtype)
-
-
-def hybrid_callbacks(system: HybridSystemDefinition) -> BatchHybridCallbacks:
-    """Batch callbacks that apply the scalar system functions row by row.
-    Without `guard_velocity`, hdot is a central difference of the guard along
-    the flow."""
-
-    def rows(fn, dtype=float):
-        return None if fn is None else partial(_by_rows, fn, dtype)
-
-    return BatchHybridCallbacks(
-        state_dim=system.state_dim,
-        reduced_dim=system.reduced_dim,
-        vector_field=rows(system.vector_field),
-        guard=rows(system.guard_function),
-        guard_velocity=rows(partial(_hdot, system)),
-        reset=rows(system.reset),
-        chart=rows(system.chart),
-        chart_inverse=rows(system.chart_inverse),
-        event_filter=rows(system.event_filter, bool),
-        escape_condition=rows(system.escape_condition, bool),
-    )
 
 
 def _localize(cb, options, stepper, rows, h_now, status, hit_state, hit_time):
@@ -251,8 +230,21 @@ def _raise_failure(code):
     raise exc(message)
 
 
-def flow_to_guard(cb: BatchHybridCallbacks, x_plus, options: IntegrationOptions):
-    """(x_minus, T) of the accepted crossing from one state `x_plus`."""
+def integrate_to_guard(
+    cb: BatchHybridCallbacks, x_plus, options: IntegrationOptions = DEFAULT_INTEGRATION
+):
+    """Flow from the one state `x_plus` to the next accepted guard crossing.
+
+    Returns (x_minus, T) with |h(x_minus)| < guard_tol and hdot(x_minus) < 0.
+    Crossings that are non-transversal or rejected by the event filter are
+    skipped and the flow continues.
+
+    Raises GuardNotReached when the time budget runs out, the trajectory
+    escapes, `x_plus` lies outside the domain or a crossing cannot be
+    localized to guard_tol (a NaN guard value, or no sign change on the
+    interpolant), and ImmediateReimpact for an accepted crossing before
+    t_min.
+    """
     states, times, status = _flow_batch(cb, np.asarray(x_plus, dtype=float)[None, :], options)
     if status[0] == _FAIL_INVALID:
         raise GuardNotReached("initial state outside the domain")
@@ -304,8 +296,10 @@ class VectorizedReturnMap:
 
 
 def vectorized_poincare_map(
-    callbacks: BatchHybridCallbacks, options: IntegrationOptions
+    callbacks: BatchHybridCallbacks, options: IntegrationOptions = DEFAULT_INTEGRATION
 ) -> PoincareMap:
+    """Return map of `callbacks`: reset, flow to the next accepted crossing,
+    chart.  One point and a batch evaluate identically, row for row."""
     evaluator = VectorizedReturnMap(callbacks, options)
     return PoincareMap(
         reduced_dim=callbacks.reduced_dim,

@@ -10,8 +10,7 @@ systems                list built-in systems and their default parameters
 A run directory contains config-echo.json, result.json, history.csv,
 timings.csv, and samples/iter_####.csv.  Everything except timings.csv is a
 pure function of (config, seed): re-running a command with the same inputs
-reproduces those files byte for byte.  `--threads` is accepted for
-compatibility and has no effect.
+reproduces those files byte for byte.
 """
 
 import argparse
@@ -77,7 +76,7 @@ def _require(condition, message):
 
 
 def load_config(path) -> dict:
-    """Parse and validate a run configuration, filling in defaults."""
+    """Parse and validate a run configuration file, filling in defaults."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -88,24 +87,32 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    return validate_config(raw)
+
+
+def validate_config(raw) -> dict:
+    """Validate a parsed run configuration, filling in defaults."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
 
-    cfg = {
-        "system": raw.get("system"),
-        "system_params": dict(raw.get("system_params", {})),
-        "representation": raw.get("representation", "ellipsoid"),
-        "N": int(raw.get("N", 1000)),
-        "eps_target": float(raw.get("eps_target", 0.03)),
-        "beta": float(raw.get("beta", 1e-9)),
-        "max_iters": int(raw.get("max_iters", 500)),
-        "seed": int(raw.get("seed", 0)),
-        "init": dict(raw.get("init", {"mode": "contraction", "r": 5.0})),
-        "integration": dict(raw.get("integration", {})),
-        "rbf": dict(raw.get("rbf", {})),
-        "k_max": int(raw.get("k_max", 20)),
-        "output_dir": raw.get("output_dir", "invset-run"),
-    }
+    try:
+        cfg = {
+            "system": raw.get("system"),
+            "system_params": dict(raw.get("system_params", {})),
+            "representation": raw.get("representation", "ellipsoid"),
+            "N": int(raw.get("N", 1000)),
+            "eps_target": float(raw.get("eps_target", 0.03)),
+            "beta": float(raw.get("beta", 1e-9)),
+            "max_iters": int(raw.get("max_iters", 500)),
+            "seed": int(raw.get("seed", 0)),
+            "init": dict(raw.get("init", {"mode": "contraction", "r": 5.0})),
+            "integration": dict(raw.get("integration", {})),
+            "rbf": dict(raw.get("rbf", {})),
+            "k_max": int(raw.get("k_max", 20)),
+            "output_dir": raw.get("output_dir", "invset-run"),
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
     _require(cfg["system"] in SYSTEM_NAMES, f"system must be one of {SYSTEM_NAMES}")
     _require(cfg["representation"] in ("ellipsoid", "rbf"), "representation must be 'ellipsoid' or 'rbf'")
     _require(cfg["N"] >= 1, "N must be >= 1")
@@ -295,7 +302,10 @@ def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
     for key in ("config", "invariant_set"):
         if key not in payload:
             raise ConfigError(f"result file {result_path} is missing '{key}'")
-    cfg = payload["config"]
+    cfg = validate_config(payload["config"])
+    missing = sorted(_TOP_KEYS - set(payload["config"]))
+    if missing:
+        raise ConfigError(f"the config in {result_path} is missing {missing}")
     invariant_set = _set_from_payload(payload["invariant_set"])
     bundle = _build_from_config(cfg)
     records = verify_k_step(
@@ -392,29 +402,26 @@ def main(argv=None) -> int:
         description="Finite-step invariant sets for return maps with PAC certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, help="accepted and ignored")
 
-    p_run = sub.add_parser(
-        "run", parents=[threads], help="run the identification pipeline from a config file"
-    )
+    p_run = sub.add_parser("run", help="run the identification pipeline from a config file")
     p_run.add_argument("config")
 
-    p_verify = sub.add_parser(
-        "verify", parents=[threads], help="k-step verification of a finished run"
-    )
+    p_verify = sub.add_parser("verify", help="k-step verification of a finished run")
     p_verify.add_argument("result")
     p_verify.add_argument("--kmax", type=int, default=20)
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
 
-    p_study = sub.add_parser("study", parents=[threads], help="repeat a run over consecutive seeds")
+    p_study = sub.add_parser("study", help="repeat a run over consecutive seeds")
     p_study.add_argument("config")
     p_study.add_argument("--runs", type=int, default=10)
 
     sub.add_parser("systems", help="list built-in systems with default parameters")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         if args.command == "run":
             return cmd_run(args.config)

@@ -5,14 +5,15 @@ discrete reset fired on the guard {h = 0, hdot < 0}.  The return map takes a
 pre-impact guard point (in reduced chart coordinates), applies the reset,
 flows until the next accepted downward guard crossing, and projects back to
 the chart.  Every flow runs on the batched Dormand-Prince 5(4) engine of
-`batchflow`; a scalar `HybridSystemDefinition` reaches it through a row
-adapter, so `integrate_to_guard` and `poincare_step` are one-row batches.
+`batchflow`.  This module holds what the engine shares with the rest of the
+package (options, failure classes, the map type) and the analysis of a
+map's fixed point.
 """
 
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -87,80 +88,10 @@ class IntegrationOptions:
 DEFAULT_INTEGRATION = IntegrationOptions()
 
 
-@dataclass(frozen=True, eq=False)
-class HybridSystemDefinition:
-    """Single-guard hybrid system with a chart on its guard surface.
-
-    `guard_function` h defines the domain {h >= 0}; resets fire on downward
-    (hdot < 0) crossings of {h = 0} that pass `event_filter`.  `chart` maps a
-    guard state to reduced coordinates and `chart_inverse` back onto the
-    guard; `escape_condition` flags states that have left the operating
-    region so the flow can be abandoned early.
-    """
-
-    state_dim: int
-    reduced_dim: int
-    vector_field: Callable[[np.ndarray], np.ndarray]
-    guard_function: Callable[[np.ndarray], float]
-    reset: Callable[[np.ndarray], np.ndarray]
-    chart: Callable[[np.ndarray], np.ndarray]
-    chart_inverse: Callable[[np.ndarray], np.ndarray]
-    guard_velocity: Optional[Callable[[np.ndarray], float]] = None
-    event_filter: Optional[Callable[[np.ndarray], bool]] = None
-    escape_condition: Optional[Callable[[np.ndarray], bool]] = None
-
-
-def _hdot(system: HybridSystemDefinition, x: np.ndarray) -> float:
-    """Time derivative of the guard along the flow, grad(h) . f."""
-    if system.guard_velocity is not None:
-        return float(system.guard_velocity(x))
-    f = np.asarray(system.vector_field(x), dtype=float)
-    h = system.guard_function
-    delta = 1e-7 * (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(f)))
-    return float((h(x + delta * f) - h(x - delta * f)) / (2.0 * delta))
-
-
-def integrate_to_guard(system, x_plus, options: IntegrationOptions = DEFAULT_INTEGRATION):
-    """Flow from `x_plus` to the next accepted guard crossing.
-
-    Returns (x_minus, T) with |h(x_minus)| < guard_tol and hdot(x_minus) < 0.
-    A sign change of h across an accepted step is localized on that step's
-    dense output, by one Brent solve batched over every row that crossed in
-    the step; crossings that are non-transversal or rejected by the event
-    filter are skipped and the flow continues.
-
-    Raises GuardNotReached when the time budget runs out, the trajectory
-    escapes, `x_plus` lies outside the domain or a crossing cannot be
-    localized to guard_tol (a NaN guard value, or no sign change on the
-    interpolant), and ImmediateReimpact for an accepted crossing before
-    t_min.
-    """
-    from .batchflow import flow_to_guard, hybrid_callbacks  # batchflow imports this module
-
-    return flow_to_guard(hybrid_callbacks(system), x_plus, options)
-
-
-def poincare_step(system, y, options: IntegrationOptions = DEFAULT_INTEGRATION) -> np.ndarray:
-    """One application of the return map in chart coordinates.
-
-    Reconstructs the pre-impact state, validates it is a transversal section
-    point, applies the reset, flows to the next accepted crossing, and
-    projects back to the chart.
-    """
-    return PoincareMap.from_hybrid_system(system, options)(y)
-
-
-def _map_rows(fn, reduced_dim, points):
-    """Batch evaluator looping `fn` over rows; failed rows are NaN."""
-    out = np.full((points.shape[0], reduced_dim), np.nan)
-    ok = np.zeros(points.shape[0], dtype=bool)
-    for i, y in enumerate(points):
-        try:
-            out[i] = fn(y)
-            ok[i] = True
-        except PoincareEvaluationError:
-            pass
-    return out, ok
+def _finite_rows(fn, points):
+    """Batch evaluation of `fn`; rows with a non-finite output fail."""
+    out = np.asarray(fn(points), dtype=float)
+    return out, np.all(np.isfinite(out), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,21 +110,9 @@ class PoincareMap:
         return np.asarray(self.evaluator(np.asarray(y, dtype=float)), dtype=float)
 
     @classmethod
-    def from_function(cls, fn, reduced_dim: int, batch_fn=None) -> "PoincareMap":
-        """Map of a point function; without `batch_fn` a batch loops over rows."""
-        if batch_fn is None:
-            batch_fn = partial(_map_rows, fn, reduced_dim)
-        return cls(reduced_dim=reduced_dim, evaluator=fn, batch_evaluator=batch_fn)
-
-    @classmethod
-    def from_hybrid_system(
-        cls, system: HybridSystemDefinition, options: IntegrationOptions = DEFAULT_INTEGRATION
-    ) -> "PoincareMap":
-        """Return map of a scalar system on the batched engine.  Its callbacks
-        run one row at a time; `BatchHybridCallbacks` avoid that loop."""
-        from .batchflow import hybrid_callbacks, vectorized_poincare_map
-
-        return vectorized_poincare_map(hybrid_callbacks(system), options)
+    def from_function(cls, fn, reduced_dim: int) -> "PoincareMap":
+        """Map of `fn`, which maps one point or an (n, reduced_dim) array."""
+        return cls(reduced_dim=reduced_dim, evaluator=fn, batch_evaluator=partial(_finite_rows, fn))
 
 
 def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True) -> np.ndarray:

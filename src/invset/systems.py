@@ -7,18 +7,13 @@ the swing phase between heel strikes.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .batchflow import BatchHybridCallbacks, vectorized_poincare_map
-from .hybrid import (
-    DEFAULT_INTEGRATION,
-    HybridSystemDefinition,
-    IntegrationOptions,
-    PoincareMap,
-)
+from .hybrid import DEFAULT_INTEGRATION, IntegrationOptions, PoincareMap
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +62,8 @@ def cec_true_invariant_set(p: CecParams):
     return Ellipsoid(A=root, b=root @ p.c)
 
 
-def _analytic_batch(points, map_fn, p):
-    out = map_fn(points, p)
-    return out, np.all(np.isfinite(out), axis=1)
-
-
-def _analytic_poincare_map(map_fn, p) -> PoincareMap:
-    return PoincareMap.from_function(
-        partial(map_fn, p=p), reduced_dim=2, batch_fn=partial(_analytic_batch, map_fn=map_fn, p=p)
-    )
-
-
 def cec_poincare_map(p: CecParams = None) -> PoincareMap:
-    return _analytic_poincare_map(cec_map, CecParams() if p is None else p)
+    return PoincareMap.from_function(partial(cec_map, p=CecParams() if p is None else p), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +111,7 @@ def nec_map(x, p: NecParams) -> np.ndarray:
 
 
 def nec_poincare_map(p: NecParams = None) -> PoincareMap:
-    return _analytic_poincare_map(nec_map, NecParams() if p is None else p)
+    return PoincareMap.from_function(partial(nec_map, p=NecParams() if p is None else p), 2)
 
 
 def nec_true_volume(p: NecParams) -> float:
@@ -169,8 +153,7 @@ class CompassGaitParams:
 
 
 # Each walker function takes one state (4,) or a batch (n, 4), indexing the
-# state along the last axis, and serves both the scalar system and the batch
-# callbacks.
+# state along the last axis.
 
 
 def _cg_vector_field(x, p: CompassGaitParams):
@@ -284,17 +267,10 @@ def compass_total_energy(x, p: CompassGaitParams) -> float:
     return compass_kinetic_energy(x, p) + compass_potential_energy(x, p)
 
 
-def compass_gait_system(p: CompassGaitParams = None) -> HybridSystemDefinition:
-    """Hybrid system for the walker with a 3-dimensional guard chart
-    (theta_sw, omega_sw, omega_st); the stance angle on the strike manifold
-    is recovered as -2*slope - theta_sw."""
-    callbacks = compass_gait_batch_callbacks(p)
-    functions = {f.name: getattr(callbacks, f.name) for f in fields(callbacks)}
-    functions["guard_function"] = functions.pop("guard")
-    return HybridSystemDefinition(**functions)
-
-
 def compass_gait_batch_callbacks(p: CompassGaitParams = None) -> BatchHybridCallbacks:
+    """The walker with a 3-dimensional guard chart (theta_sw, omega_sw,
+    omega_st); the stance angle on the strike manifold is recovered as
+    -2*slope - theta_sw."""
     p = CompassGaitParams() if p is None else p
     return BatchHybridCallbacks(
         state_dim=4,

@@ -4,8 +4,8 @@ from invset.hybrid import IntegrationOptions, contraction_init, fd_jacobian, fin
 from invset.systems import (
     COMPASS_GAIT_SECTION_SEED,
     CompassGaitParams,
+    compass_gait_batch_callbacks,
     compass_gait_poincare_map,
-    compass_gait_system,
 )
 
 COMPASS_RUN_OPTIONS = IntegrationOptions(
@@ -20,7 +20,7 @@ def compass_params():
 
 @pytest.fixture(scope="session")
 def compass_system(compass_params):
-    return compass_gait_system(compass_params)
+    return compass_gait_batch_callbacks(compass_params)
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from invset.algorithm import RbfOptions, run, verify_k_step
-from invset.cli import main as cli_main
 from invset.ellipsoid import Ellipsoid, mvee
-from invset.hybrid import PoincareMap, integrate_to_guard
+from invset.batchflow import integrate_to_guard
+from invset.hybrid import PoincareMap
 from invset.pac import binomial_cdf, binomial_tail_inversion
 from invset.systems import (
     COMPASS_GAIT_SECTION_SEED,
@@ -27,6 +27,7 @@ from invset.systems import (
     nec_poincare_map,
     nec_true_volume,
 )
+from tests.test_cli import run_cli_with_blas_threads
 from tests.test_pac import direct_sum_cdf
 
 E0_DISK = Ellipsoid.ball(math.sqrt(10), [0.0, 0.0])
@@ -294,7 +295,7 @@ def test_criterion_7_hybrid_integration_suite(compass_params, compass_system):
         e0 = compass_total_energy(x, compass_params)
         x_minus, _ = integrate_to_guard(compass_system, x)
         energy_ok &= abs(compass_total_energy(x_minus, compass_params) - e0) / abs(e0) < 1e-8
-        residual_ok &= abs(compass_system.guard_function(x_minus)) < 1e-10
+        residual_ok &= abs(compass_system.guard(x_minus)) < 1e-10
         x_plus = compass_system.reset(x_minus)
         impact_ok &= (
             compass_kinetic_energy(x_plus, compass_params)
@@ -372,7 +373,7 @@ def test_criterion_9_determinism(tmp_path):
             outdir = tmp_path / f"{label}-t{threads}"
             cfg_file = tmp_path / f"{label}-t{threads}.json"
             cfg_file.write_text(json.dumps({**cfg, "output_dir": str(outdir)}))
-            code = cli_main(["run", str(cfg_file), "--threads", str(threads)])
+            code = run_cli_with_blas_threads(["run", cfg_file], threads)
             assert code in (0, 2)
             blobs = {}
             for name in ("result.json", "history.csv"):
@@ -380,8 +381,11 @@ def test_criterion_9_determinism(tmp_path):
                 if name == "result.json":
                     blob = blob.replace(str(outdir).encode(), b"OUT")
                 blobs[name] = blob
+            for sample in sorted((outdir / "samples").glob("*.csv")):
+                blobs[f"samples/{sample.name}"] = sample.read_bytes()
+            assert len(blobs) > 2, "the run wrote no samples"
             outputs[threads] = blobs
         same = outputs[1] == outputs[2]
         all_ok &= same
-        details.append(f"{label}: threads 1 vs 2 byte-identical = {same}")
+        details.append(f"{label}: BLAS threads 1 vs 2 byte-identical = {same}")
     report(9, "determinism across thread counts", all_ok, "; ".join(details))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -22,7 +23,6 @@ from invset.systems import (
     cec_poincare_map,
     cec_true_invariant_set,
     compass_gait_poincare_map,
-    compass_gait_system,
     nec_poincare_map,
 )
 
@@ -247,11 +247,8 @@ class TestHooks:
 class TestEvaluateMap:
     @pytest.mark.parametrize(
         "make_map",
-        [
-            lambda opts: PoincareMap.from_hybrid_system(compass_gait_system(), opts),
-            lambda opts: compass_gait_poincare_map(None, opts),
-        ],
-        ids=["scalar-adapter", "batch-callbacks"],
+        [lambda opts: compass_gait_poincare_map(None, opts)],
+        ids=["batch-callbacks"],
     )
     def test_row_partitions_are_bit_identical(self, make_map):
         pmap = make_map(IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_flow_time=3.0))
@@ -367,7 +364,7 @@ class TestVerifyKStep:
 
             return wrapper
 
-        pmap = PoincareMap.from_function(cec.evaluator, 2, batch_fn=counting_batch)
+        pmap = dataclasses.replace(cec, batch_evaluator=counting_batch)
         monkeypatch.setattr(Ellipsoid, "sample", counting("Ellipsoid.sample", Ellipsoid.sample))
         monkeypatch.setattr(
             invset.algorithm,

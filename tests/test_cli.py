@@ -81,6 +81,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="mode"):
             load_config(file)
 
+    def test_value_of_the_wrong_type(self, tmp_path):
+        file = write_config(tmp_path, N="many")
+        with pytest.raises(ConfigError, match="many"):
+            load_config(file)
+
     def test_only_the_rk45_method_exists(self, tmp_path):
         # rk45, the batched engine's Dormand-Prince 5(4) pair, is the only method
         with pytest.raises(ValueError, match="dop853"):
@@ -90,6 +95,16 @@ class TestConfigValidation:
             load_config(file)
 
 
+def _subprocess_env(**extra):
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(invset.__file__).resolve().parents[1])
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        **extra,
+    }
+
+
 def _modules_after_import(select):
     """Sorted names of loaded modules matching the expression `select` (of
     `m`) after importing the package, its CLI and its systems afresh."""
@@ -97,12 +112,23 @@ def _modules_after_import(select):
         "import sys, invset, invset.cli, invset.systems\n"
         f"print(sorted(m for m in sys.modules if {select}))"
     )
-    src = str(Path(invset.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120, env=env
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=120, env=_subprocess_env(),
     )
     return done.stdout.strip()
+
+
+def run_cli_with_blas_threads(args, threads: int) -> int:
+    """Exit code of `python -m invset.cli *args` in a fresh interpreter whose
+    OpenBLAS and OpenMP pools have `threads` threads (a pool's size is fixed
+    when the interpreter loads it)."""
+    env = _subprocess_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    done = subprocess.run(
+        [sys.executable, "-m", "invset.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
+    return done.returncode
 
 
 def test_one_engine_without_scipy_integrate_or_process_pool():
@@ -165,13 +191,9 @@ class TestRunCommand:
 
 class TestDeterminism:
     def test_rerun_is_byte_identical_across_threads(self, tmp_path):
-        file_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
-        assert main(["run", str(file_a), "--threads", "1"]) == EXIT_OK
-        file_b = tmp_path / "config_b.json"
-        cfg = json.loads(file_a.read_text())
-        cfg["output_dir"] = str(tmp_path / "b")
-        file_b.write_text(json.dumps(cfg, indent=2))
-        assert main(["run", str(file_b), "--threads", "4"]) == EXIT_OK
+        for threads, name in ((1, "a"), (2, "b")):
+            file = write_config(tmp_path, output_dir=str(tmp_path / name))
+            assert run_cli_with_blas_threads(["run", file], threads) == EXIT_OK
         for name in ("result.json", "history.csv"):
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
@@ -205,6 +227,18 @@ class TestVerifyCommand:
         assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "kstep.csv").exists()
 
+    def test_incomplete_embedded_config_is_a_config_error(self, tmp_path, capsys):
+        file = write_config(tmp_path)
+        main(["run", str(file)])
+        result = tmp_path / "out" / "result.json"
+        payload = json.loads(result.read_text())
+        payload["config"] = {"system": "cec"}
+        result.write_text(json.dumps(payload))
+        assert main(["verify", str(result)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "integration" in err
+        assert not (tmp_path / "out" / "kstep.csv").exists()
+
     def test_missing_result_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == EXIT_ERROR
         assert "result" in capsys.readouterr().err
@@ -224,6 +258,23 @@ class TestStudyCommand:
         file = write_config(tmp_path)
         assert main(["study", str(file), "--runs", "1"]) == EXIT_ERROR
         assert "runs" in capsys.readouterr().err
+
+
+class TestUsage:
+    def test_usage_errors_exit_one(self, tmp_path, capsys):
+        # argparse's own exit code 2 would read as EXIT_BUDGET
+        file = write_config(tmp_path)
+        assert main(["run"]) == EXIT_ERROR
+        assert main(["bogus"]) == EXIT_ERROR
+        assert main(["verify"]) == EXIT_ERROR
+        assert main(["run", str(file), "--threads", "2"]) == EXIT_ERROR
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert main(["run", "--help"]) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestSystemsCommand:

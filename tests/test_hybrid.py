@@ -5,10 +5,14 @@ import pytest
 import scipy.optimize
 
 from invset._dopri import _P, BatchStepper
-from invset.batchflow import brentq
+from invset.batchflow import (
+    BatchHybridCallbacks,
+    brentq,
+    integrate_to_guard,
+    vectorized_poincare_map,
+)
 from invset.hybrid import (
     GuardNotReached,
-    HybridSystemDefinition,
     ImmediateReimpact,
     IntegrationOptions,
     NoConvergence,
@@ -17,36 +21,52 @@ from invset.hybrid import (
     contraction_init,
     fd_jacobian,
     find_fixed_point,
-    integrate_to_guard,
-    poincare_step,
     spectral_radius,
 )
 
 
-def linear_decay_system():
-    """1D flow x' = -1 with the guard at x = 0."""
-    return HybridSystemDefinition(
+def _identity(x):
+    return x
+
+
+def _constant(value, x):
+    """`value` at every state of `x`, one value per row."""
+    return np.full(x.shape[:-1], value)
+
+
+def oscillator(acceleration, event_filter=None):
+    """x'' = acceleration(x, v) with state (x, v), the guard at x = 0 (where
+    hdot = v), and identity reset and chart."""
+    return BatchHybridCallbacks(
+        state_dim=2,
+        reduced_dim=2,
+        vector_field=lambda s: np.stack([s[..., 1], acceleration(s[..., 0], s[..., 1])], axis=-1),
+        guard=lambda s: s[..., 0],
+        guard_velocity=lambda s: s[..., 1],
+        reset=_identity,
+        chart=_identity,
+        chart_inverse=_identity,
+        event_filter=event_filter,
+    )
+
+
+def linear_decay_system(speed=-1.0):
+    """1D flow x' = speed with the guard at x = 0."""
+    return BatchHybridCallbacks(
         state_dim=1,
         reduced_dim=1,
-        vector_field=lambda x: np.array([-1.0]),
-        guard_function=lambda x: float(x[0]),
-        reset=lambda x: x,
-        chart=lambda x: x,
-        chart_inverse=lambda y: y,
+        vector_field=lambda x: np.full_like(x, speed),
+        guard=lambda x: x[..., 0],
+        guard_velocity=lambda x: _constant(speed, x),
+        reset=_identity,
+        chart=_identity,
+        chart_inverse=_identity,
     )
 
 
 def harmonic_oscillator():
     """x'' = -x with state (x, v) and the guard at x = 0."""
-    return HybridSystemDefinition(
-        state_dim=2,
-        reduced_dim=2,
-        vector_field=lambda s: np.array([s[1], -s[0]]),
-        guard_function=lambda s: float(s[0]),
-        reset=lambda s: s,
-        chart=lambda s: s,
-        chart_inverse=lambda y: y,
-    )
+    return oscillator(lambda x, v: -x)
 
 
 class TestIntegrateToGuard:
@@ -67,20 +87,18 @@ class TestIntegrateToGuard:
         sys = harmonic_oscillator()
         for x0 in ([1.0, 0.0], [0.5, 0.25], [2.0, -0.3]):
             x_minus, _ = integrate_to_guard(sys, np.array(x0))
-            assert abs(sys.guard_function(x_minus)) < 1e-10
+            assert abs(sys.guard(x_minus)) < 1e-10
 
     def test_guard_not_reached(self):
-        sys = HybridSystemDefinition(
-            state_dim=1,
-            reduced_dim=1,
-            vector_field=lambda x: np.array([1.0]),  # flows away from the guard
-            guard_function=lambda x: float(x[0]),
-            reset=lambda x: x,
-            chart=lambda x: x,
-            chart_inverse=lambda y: y,
-        )
+        sys = linear_decay_system(speed=1.0)  # flows away from the guard
         with pytest.raises(GuardNotReached):
             integrate_to_guard(sys, np.array([1.0]), IntegrationOptions(max_flow_time=0.5))
+
+    def test_initial_state_outside_the_domain(self):
+        options = IntegrationOptions()
+        x_plus = np.array([-10.0 * options.guard_tol])  # h(x+) < -guard_tol
+        with pytest.raises(GuardNotReached, match="outside the domain"):
+            integrate_to_guard(linear_decay_system(), x_plus, options)
 
     def test_immediate_reimpact(self):
         with pytest.raises(ImmediateReimpact):
@@ -90,32 +108,14 @@ class TestIntegrateToGuard:
         # damped oscillator: successive downward crossings of x = 0 carry
         # decaying speed; the filter rejects the first, fast crossing and the
         # search must continue to the next one a full period later
-        sys = HybridSystemDefinition(
-            state_dim=2,
-            reduced_dim=2,
-            vector_field=lambda s: np.array([s[1], -s[0] - 0.4 * s[1]]),
-            guard_function=lambda s: float(s[0]),
-            reset=lambda s: s,
-            chart=lambda s: s,
-            chart_inverse=lambda y: y,
-            event_filter=lambda s: abs(s[1]) <= 0.5,
-        )
+        sys = oscillator(lambda x, v: -x - 0.4 * v, event_filter=lambda s: np.abs(s[..., 1]) <= 0.5)
         x_minus, T = integrate_to_guard(sys, np.array([1.0, 0.0]), IntegrationOptions(max_flow_time=30.0))
         assert T > 4.0  # well past the first crossing near t = pi/2
         assert abs(x_minus[0]) < 1e-10
         assert abs(x_minus[1]) <= 0.5
 
     def test_all_crossings_filtered_raises(self):
-        sys = HybridSystemDefinition(
-            state_dim=2,
-            reduced_dim=2,
-            vector_field=lambda s: np.array([s[1], -s[0]]),
-            guard_function=lambda s: float(s[0]),
-            reset=lambda s: s,
-            chart=lambda s: s,
-            chart_inverse=lambda y: y,
-            event_filter=lambda s: False,
-        )
+        sys = oscillator(lambda x, v: -x, event_filter=lambda s: _constant(False, s))
         with pytest.raises(GuardNotReached):
             integrate_to_guard(sys, np.array([1.0, 0.0]), IntegrationOptions(max_flow_time=10.0))
 
@@ -136,7 +136,7 @@ class TestFixedPoint:
         assert np.linalg.norm(star - target) < 1e-10
 
     def test_residual_contract(self):
-        pmap = PoincareMap.from_function(lambda y: np.array([math.cos(y[0])]), 1)
+        pmap = PoincareMap.from_function(np.cos, 1)
         star = find_fixed_point(pmap, np.array([0.5]), tol=1e-10)
         assert abs(pmap(star)[0] - star[0]) < 1e-10
 
@@ -154,7 +154,7 @@ class TestFixedPoint:
 class TestJacobian:
     def test_linear_map_recovered(self):
         L = np.array([[0.3, -0.2], [0.1, 0.8]])
-        pmap = PoincareMap.from_function(lambda y: L @ y, 2)
+        pmap = PoincareMap.from_function(lambda y: y @ L.T, 2)
         J = fd_jacobian(pmap, np.array([0.4, -0.3]))
         assert np.abs(J - L).max() < 1e-6 * np.abs(L).max()
 
@@ -209,16 +209,17 @@ class TestPoincareStep:
     def test_fixed_point_of_identity_chart_system(self):
         # flow straight down to the guard and reset back up: the section map
         # is the identity on the chart coordinate
-        sys = HybridSystemDefinition(
+        sys = BatchHybridCallbacks(
             state_dim=2,
             reduced_dim=1,
-            vector_field=lambda s: np.array([0.0, -1.0]),
-            guard_function=lambda s: float(s[1]),
-            reset=lambda s: np.array([s[0], 1.0]),
-            chart=lambda s: np.array([s[0]]),
-            chart_inverse=lambda y: np.array([y[0], 0.0]),
+            vector_field=lambda s: np.zeros_like(s) + [0.0, -1.0],
+            guard=lambda s: s[..., 1],
+            guard_velocity=lambda s: _constant(-1.0, s),
+            reset=lambda s: np.stack([s[..., 0], np.ones_like(s[..., 0])], axis=-1),
+            chart=lambda s: s[..., :1],
+            chart_inverse=lambda y: np.stack([y[..., 0], np.zeros_like(y[..., 0])], axis=-1),
         )
-        out = poincare_step(sys, np.array([0.7]))
+        out = vectorized_poincare_map(sys)(np.array([0.7]))
         assert out[0] == pytest.approx(0.7, abs=1e-12)
 
 
@@ -310,23 +311,23 @@ def nan_guard_system():
     guard is NaN on 0.3 < x0 < 0.999, inside the crossing step."""
 
     def guard(x):
-        if x[1] > 0 and 0.3 < x[0] < 0.999:
-            return float("nan")
-        return 1.0 - x[0] ** 3
+        hole = (x[..., 1] > 0) & (0.3 < x[..., 0]) & (x[..., 0] < 0.999)
+        return np.where(hole, np.nan, 1.0 - x[..., 0] ** 3)
 
-    return HybridSystemDefinition(
+    return BatchHybridCallbacks(
         state_dim=2,
         reduced_dim=1,
-        vector_field=lambda x: np.array([1.0, 0.0]),
-        guard_function=guard,
-        reset=lambda x: np.array([0.0, x[1]]),
-        chart=lambda x: x[1:],
-        chart_inverse=lambda y: np.array([1.0, y[0]]),
+        vector_field=lambda x: np.zeros_like(x) + [1.0, 0.0],
+        guard=guard,
+        guard_velocity=lambda x: -3.0 * x[..., 0] ** 2,
+        reset=lambda x: np.stack([np.zeros_like(x[..., 1]), x[..., 1]], axis=-1),
+        chart=lambda x: x[..., 1:],
+        chart_inverse=lambda y: np.stack([np.ones_like(y[..., 0]), y[..., 0]], axis=-1),
     )
 
 
 def test_failed_localization_fails_only_its_row():
-    pmap = PoincareMap.from_hybrid_system(nan_guard_system())
+    pmap = vectorized_poincare_map(nan_guard_system())
     out, ok = pmap.batch_evaluator(np.array([[-1.0], [1.0]]))
     assert ok.tolist() == [True, False]
     assert np.isnan(out[1]).all()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from invset.hybrid import IntegrationOptions, integrate_to_guard
+from invset.batchflow import integrate_to_guard
+from invset.hybrid import IntegrationOptions, InvalidSectionPoint
 from invset.systems import (
     COMPASS_GAIT_SECTION_SEED,
     CecParams,
@@ -159,7 +160,7 @@ class TestCompassGait:
         for _ in range(20):
             y = COMPASS_GAIT_SECTION_SEED + 0.2 * rng.standard_normal(3)
             x = compass_system.chart_inverse(y)
-            assert abs(compass_system.guard_function(x)) < 1e-10
+            assert abs(compass_system.guard(x)) < 1e-10
             assert np.allclose(compass_system.chart(x), y)
 
     def test_batched_map_matches_scipy_path(self, compass_system, compass_map):
@@ -171,7 +172,7 @@ class TestCompassGait:
             return system.vector_field(x)
 
         def strike(_t, x):
-            return float(system.guard_function(x))
+            return float(system.guard(x))
 
         strike.terminal = True
         strike.direction = -1
@@ -200,6 +201,16 @@ class TestCompassGait:
         assert ok.all()
         singles = np.array([compass_map(y) for y in ys])
         assert np.array_equal(batch, singles)
+
+    def test_swing_leg_behind_is_an_invalid_section_point(self, compass_system, compass_map):
+        y = np.array([-0.3, 1.0, 1.0])  # theta_sw, omega_sw, omega_st
+        x_pre = compass_system.chart_inverse(y)
+        assert compass_system.guard_velocity(x_pre) < 0  # a downward crossing
+        assert not compass_system.event_filter(x_pre)  # with the swing leg behind
+        with pytest.raises(InvalidSectionPoint):
+            compass_map(y)
+        _, ok = compass_map.batch_evaluator(np.stack([COMPASS_GAIT_SECTION_SEED, y]))
+        assert ok.tolist() == [True, False]
 
     def test_period_consistent_under_tolerance_halving(self, compass_params, compass_system):
         y = COMPASS_GAIT_SECTION_SEED
