@@ -35,8 +35,8 @@ from .hybrid import (
     find_fixed_point,
     spectral_radius,
 )
-from .pac import PacCertificate, binomial_cdf, binomial_tail_inversion, certify
-from .rbf import GAMMA_BALL, RbfSamplingError, RBFSet, fit_rbf, sample_uniform_rbf
+from .pac import PacCertificate, binomial_cdf, binomial_tail_inversion
+from .rbf import GAMMA_BALL, RbfSamplingError, RBFSet, fit_rbf
 
 __all__ = [
     "BatchHybridCallbacks",
@@ -65,7 +65,6 @@ __all__ = [
     "UnstableLinearization",
     "binomial_cdf",
     "binomial_tail_inversion",
-    "certify",
     "contraction_init",
     "fd_jacobian",
     "find_fixed_point",
@@ -74,7 +73,6 @@ __all__ = [
     "mvee",
     "partition",
     "run",
-    "sample_uniform_rbf",
     "spectral_radius",
     "unit_ball_volume",
     "vectorized_poincare_map",

@@ -33,20 +33,14 @@ class SampleBatch:
     """Input/output pairs of one iteration with containment flags.
 
     `flags[i]` is True iff the image of sample i exists and lies inside the
-    candidate.  The four derived views follow the partition used throughout:
-    retained inputs/outputs are the pairs whose image stayed inside, escaped
-    inputs/outputs are the rest (failed evaluations count as escaped, with
-    NaN rows standing in for the missing image).
+    candidate; a failed evaluation is flagged False, with a NaN row standing
+    in for the missing image.  The refit uses `retained_inputs`, the inputs
+    whose image stayed inside.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
-    ok: np.ndarray
     flags: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
 
     @property
     def violations(self) -> int:
@@ -56,37 +50,23 @@ class SampleBatch:
     def retained_inputs(self) -> np.ndarray:
         return self.inputs[self.flags]
 
-    @property
-    def retained_outputs(self) -> np.ndarray:
-        return self.outputs[self.flags]
-
-    @property
-    def escaped_inputs(self) -> np.ndarray:
-        return self.inputs[~self.flags]
-
-    @property
-    def escaped_outputs(self) -> np.ndarray:
-        return self.outputs[~self.flags]
-
 
 def partition(candidate, inputs, outputs, ok=None) -> SampleBatch:
-    """Split sample pairs by containment of the output in `candidate`.
+    """Flag each sample pair by containment of its output in `candidate`.
 
     `candidate` is any set object with `contains_batch`; `ok` marks rows
-    whose evaluation succeeded (failures always land on the escaped side).
+    whose evaluation succeeded (a failed or non-finite row is flagged False).
     """
     inputs = np.asarray(inputs, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
     if inputs.shape[0] != outputs.shape[0]:
         raise ValueError("inputs and outputs must pair up")
-    if ok is None:
-        ok = np.all(np.isfinite(outputs), axis=1)
-    else:
-        ok = np.asarray(ok, dtype=bool) & np.all(np.isfinite(outputs), axis=1)
+    finite = np.all(np.isfinite(outputs), axis=1)
+    ok = finite if ok is None else np.asarray(ok, dtype=bool) & finite
     flags = np.zeros(inputs.shape[0], dtype=bool)
     if ok.any():
         flags[ok] = candidate.contains_batch(outputs[ok])
-    return SampleBatch(inputs=inputs, outputs=outputs, ok=ok, flags=flags)
+    return SampleBatch(inputs=inputs, outputs=outputs, flags=flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +82,11 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class RunHistory:
-    """Per-iteration trace plus the final certificate and termination reason."""
+    """Per-iteration trace, termination reason, and the iteration whose
+    candidate was returned (the certificate is `RunResult.certificate`)."""
 
     records: list
     termination: str  # "certified" | "budget"
-    certificate: PacCertificate
     final_iteration: int
 
     @property
@@ -225,11 +205,9 @@ def run(
     candidate = initial_set
     records = []
     best_index = 0
-    violation_history = []
     for iteration in range(1, max_iters + 1):
         started = time.perf_counter()
         volume, batch, eps_star = _score(pmap, candidate, n_samples, beta, seed, iteration)
-        violation_history.append(batch.violations)
         certified = eps_star <= eps_target
         if not certified:
             retained = batch.retained_inputs
@@ -237,7 +215,8 @@ def run(
                 raise CollapseError(
                     f"candidate collapsed at iteration {iteration}: only "
                     f"{retained.shape[0]} retained inputs (need {candidate.dim + 1}); "
-                    f"violation history {violation_history}; last volume {volume:.3e}. "
+                    f"violation history {[r.violations for r in records] + [batch.violations]}; "
+                    f"last volume {volume:.3e}. "
                     "The initial set likely fails to contain the invariant set - "
                     "increase its scale (contraction factor r)."
                 )
@@ -260,15 +239,7 @@ def run(
         if eps_star < records[best_index].epsilon_star:
             best_index = len(records) - 1
         if certified:
-            certificate = PacCertificate(
-                violations=batch.violations,
-                samples=n_samples,
-                beta=beta,
-                epsilon_star=eps_star,
-                steps=1,
-            )
-            history = RunHistory(records, "certified", certificate, iteration)
-            return RunResult(candidate, certificate, history)
+            break  # a certified bound beats every earlier one: best is this record
         candidate = refitted
 
     best = records[best_index]
@@ -279,7 +250,7 @@ def run(
         epsilon_star=best.epsilon_star,
         steps=1,
     )
-    history = RunHistory(records, "budget", certificate, best.iteration)
+    history = RunHistory(records, "certified" if certified else "budget", best.iteration)
     return RunResult(best.candidate, certificate, history)
 
 

@@ -4,6 +4,7 @@ Commands
 --------
 run <config.json>      identify an invariant set, write result/history/samples
 verify <result.json>   re-certify a finished run over k = 1..k_max map steps
+                       (k_max from --kmax, else the run's config.k_max)
 study <config.json>    repeat a run over consecutive seeds and aggregate
 systems                list built-in systems and their default parameters
 
@@ -75,6 +76,17 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
+def _checked(path, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)` on the value at `path`, raising ConfigError for
+    the KeyError, TypeError or ValueError of a malformed value."""
+    try:
+        return fn(*args, **kwargs)
+    except KeyError as exc:
+        raise ConfigError(f"{path} is missing the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     """Parse and validate a run configuration file, filling in defaults."""
     try:
@@ -125,33 +137,45 @@ def validate_config(raw) -> dict:
     defaults = IntegrationOptions()
     merged = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)}
     merged.update(cfg["integration"])
-    try:
-        IntegrationOptions(**merged)
-    except ValueError as exc:
-        raise ConfigError(f"config.integration: {exc}") from exc
     cfg["integration"] = merged
+    options = _checked("config.integration", IntegrationOptions, **merged)
+    bundle = _checked(
+        "config.system_params", build_system, cfg["system"], cfg["system_params"], options
+    )
+    dim = bundle.reduced_dim
 
     init = cfg["init"]
     mode = init.get("mode")
     if mode == "explicit":
         _reject_unknown(init, {"mode", "ellipsoid"}, "config.init")
         _require("ellipsoid" in init, "explicit init requires an 'ellipsoid' block")
-        try:
-            Ellipsoid.from_dict(init["ellipsoid"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"config.init.ellipsoid: {exc}") from exc
+        initial = _checked("config.init.ellipsoid", Ellipsoid.from_dict, init["ellipsoid"])
+        _require(initial.dim == dim, f"config.init.ellipsoid has dim {initial.dim}, not {dim}")
     elif mode == "contraction":
         _reject_unknown(init, {"mode", "r", "fixed_point_seed"}, "config.init")
         init.setdefault("r", 5.0)
-        _require(float(init["r"]) > 1.0, "contraction init requires r > 1")
+        r = _checked("config.init.r", float, init["r"])
+        _require(1.0 < r < np.inf, "contraction init requires a finite r > 1")
+        seed_point = _checked(
+            "config.init.fixed_point_seed",
+            np.asarray,
+            init.get("fixed_point_seed", bundle.fixed_point_seed),
+            dtype=float,
+        )
+        _require(
+            seed_point.shape == (dim,) and np.isfinite(seed_point).all(),
+            f"config.init.fixed_point_seed needs {dim} finite numbers",
+        )
     else:
         raise ConfigError("config.init.mode must be 'explicit' or 'contraction'")
 
     _reject_unknown(cfg["rbf"], {"m", "gamma"}, "config.rbf")
     cfg["rbf"].setdefault("m", RbfOptions.m)
     cfg["rbf"].setdefault("gamma", RbfOptions.gamma)
-    _require(int(cfg["rbf"]["m"]) >= 1, "rbf.m must be >= 1")
-    _require(float(cfg["rbf"]["gamma"]) > 0.0, "rbf.gamma must be positive")
+    m = _checked("config.rbf.m", int, cfg["rbf"]["m"])
+    _require(m >= 1, "rbf.m must be >= 1")
+    gamma = _checked("config.rbf.gamma", float, cfg["rbf"]["gamma"])
+    _require(0.0 < gamma < m, "rbf.gamma must lie in (0, rbf.m)")
     return cfg
 
 
@@ -210,11 +234,11 @@ def _set_payload(invariant_set) -> dict:
 
 
 def _set_from_payload(payload: dict):
-    kind = payload.get("type")
+    kind = payload.get("type") if isinstance(payload, dict) else None
     if kind == "ellipsoid":
-        return Ellipsoid.from_dict(payload)
+        return _checked("invariant_set", Ellipsoid.from_dict, payload)
     if kind == "rbf":
-        return RBFSet.from_dict(payload)
+        return _checked("invariant_set", RBFSet.from_dict, payload)
     raise ConfigError(f"unknown invariant set type {kind!r}")
 
 
@@ -247,8 +271,6 @@ def _initial_ellipsoid(cfg: dict):
         return Ellipsoid.from_dict(init["ellipsoid"]), None, None
     bundle = _build_from_config(cfg, tightened=True)
     seed_point = init.get("fixed_point_seed", bundle.fixed_point_seed)
-    if seed_point is None:
-        raise ConfigError(f"system {cfg['system']} needs init.fixed_point_seed")
     fixed_point = find_fixed_point(bundle.poincare_map, np.asarray(seed_point, dtype=float))
     jacobian = fd_jacobian(bundle.poincare_map, fixed_point)
     magnitudes = sorted(np.abs(np.linalg.eigvals(jacobian)), reverse=True)
@@ -289,8 +311,10 @@ def cmd_run(config_path) -> int:
     return EXIT_OK if result.history.termination == "certified" else EXIT_BUDGET
 
 
-def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
-    if k_max < 1:
+def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
+    """k-step verification of a finished run; `k_max` None means the run's
+    config.k_max."""
+    if k_max is not None and k_max < 1:
         raise ConfigError(f"--kmax must be >= 1, got {k_max}")
     if n_samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {n_samples}")
@@ -299,6 +323,7 @@ def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
         payload = json.loads(result_file.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load result file {result_path}: {exc}") from exc
+    _require(isinstance(payload, dict), f"result file {result_path} is not a JSON object")
     for key in ("config", "invariant_set"):
         if key not in payload:
             raise ConfigError(f"result file {result_path} is missing '{key}'")
@@ -308,6 +333,10 @@ def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
         raise ConfigError(f"the config in {result_path} is missing {missing}")
     invariant_set = _set_from_payload(payload["invariant_set"])
     bundle = _build_from_config(cfg)
+    dim = invariant_set.dim
+    _require(dim == bundle.reduced_dim, f"invariant_set has dim {dim}, not {bundle.reduced_dim}")
+    if k_max is None:
+        k_max = cfg["k_max"]
     records = verify_k_step(
         bundle.poincare_map, invariant_set, n_samples, k_max, float(cfg["beta"]), seed
     )
@@ -341,7 +370,7 @@ def cmd_study(config_path, runs: int) -> int:
         try:
             result = _run_config(cfg, bundle.poincare_map, initial, seed, store_samples=False)
             outcomes.append((seed, result))
-        except (CollapseError, NoConvergence, UnstableLinearization) as exc:
+        except CollapseError as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
             print(f"seed {seed}: failed ({type(exc).__name__})", file=sys.stderr)
     if not outcomes:
@@ -408,7 +437,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="k-step verification of a finished run")
     p_verify.add_argument("result")
-    p_verify.add_argument("--kmax", type=int, default=20)
+    p_verify.add_argument("--kmax", type=int, help="largest k (default: the run's k_max)")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
 

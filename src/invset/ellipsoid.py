@@ -72,13 +72,6 @@ class Ellipsoid:
         c.setflags(write=False)
         return c
 
-    def contains(self, x) -> bool:
-        """Closed membership test: ||A x - b|| <= 1 (boundary included)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
-        return bool(np.linalg.norm(self.A @ x - self.b) <= 1.0)
-
     def contains_batch(self, points) -> np.ndarray:
         """Vectorized membership for an (n, dim) array; NaN rows are outside.
 
@@ -88,10 +81,6 @@ class Ellipsoid:
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.linalg.norm(pts @ self.A.T - self.b, axis=-1)
             return resid <= 1.0
-
-    def boundary_distance(self, x) -> float:
-        """Value of ||A x - b||; <= 1 inside, 1 on the boundary."""
-        return float(np.linalg.norm(self.A @ np.asarray(x, dtype=float) - self.b))
 
     def volume(self) -> float:
         L = np.linalg.cholesky(self.A)

@@ -11,7 +11,7 @@ map's fixed point.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -75,13 +75,10 @@ class IntegrationOptions:
 
     def tightened(self) -> "IntegrationOptions":
         """Stricter copy used for fixed-point and Jacobian computations."""
-        return IntegrationOptions(
+        return replace(
+            self,
             rel_tol=max(self.rel_tol * _TIGHTEN_FACTOR, 1e-13),
             abs_tol=max(self.abs_tol * _TIGHTEN_FACTOR, 1e-14),
-            guard_tol=self.guard_tol,
-            t_min=self.t_min,
-            max_flow_time=self.max_flow_time,
-            method=self.method,
         )
 
 

@@ -80,28 +80,3 @@ class PacCertificate:
             "epsilon_star": float(self.epsilon_star),
             "k": int(self.steps),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PacCertificate":
-        return cls(
-            violations=int(data["v"]),
-            samples=int(data["N"]),
-            beta=float(data["beta"]),
-            epsilon_star=float(data["epsilon_star"]),
-            steps=int(data["k"]),
-        )
-
-
-def certify(containment_flags, beta: float, steps: int = 1) -> PacCertificate:
-    """Build the certificate for one holdout batch.
-
-    `containment_flags[i]` is True iff the i-th test sample's k-step image
-    stayed inside the candidate set.
-    """
-    flags = [bool(f) for f in containment_flags]
-    if not flags:
-        raise ValueError("cannot certify an empty batch")
-    v = sum(1 for f in flags if not f)
-    n = len(flags)
-    eps = binomial_tail_inversion(v, n, beta)
-    return PacCertificate(violations=v, samples=n, beta=beta, epsilon_star=eps, steps=steps)

@@ -26,7 +26,7 @@ _MAX_INNER = 150
 
 
 class RbfSamplingError(RuntimeError):
-    """Rejection sampling acceptance rate collapsed; the box is too loose."""
+    """Rejection sampling acceptance rate collapsed: the set fills too little of its box."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +65,6 @@ class RBFSet:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d2 = ((pts[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
         return np.exp(-0.5 * d2 / self.widths**2).sum(axis=1)
-
-    def contains(self, x) -> bool:
-        return bool(self.values(np.asarray(x, dtype=float)[None, :])[0] >= self.gamma)
 
     def contains_batch(self, points) -> np.ndarray:
         """Vectorized membership; NaN rows are outside, and so are rows so far
@@ -260,28 +257,14 @@ def fit_rbf(
     return RBFSet(centers=centers, widths=widths, gamma=gamma)
 
 
-def sample_uniform_rbf(
-    rbf_set: RBFSet,
-    n: int,
-    bounding_box=None,
-    seed: int = 0,
-    context: int = 0,
-) -> np.ndarray:
-    """Uniform sample over the membership region by rejection from a box."""
-    points, _ = sample_uniform_rbf_with_volume(
-        rbf_set, n, bounding_box=bounding_box, seed=seed, context=context
-    )
-    return points
-
-
 def sample_uniform_rbf_with_volume(
     rbf_set: RBFSet,
     n: int,
-    bounding_box=None,
     seed: int = 0,
     context: int = 0,
 ):
-    """Rejection sampling plus the Monte-Carlo volume estimate it implies.
+    """Uniform sample of the set by rejection from its `bounding_box()`, plus
+    the Monte-Carlo volume estimate the acceptance rate implies.
 
     Trials are drawn in fixed-size chunks from counter-based streams keyed by
     (seed, context, chunk); acceptance order is the trial order, so the result
@@ -289,11 +272,7 @@ def sample_uniform_rbf_with_volume(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lo, hi = rbf_set.bounding_box() if bounding_box is None else bounding_box
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(hi <= lo):
-        raise ValueError("bounding box must have positive extent")
+    lo, hi = rbf_set.bounding_box()
     box_volume = float(np.prod(hi - lo))
     dim = rbf_set.dim
 
@@ -312,7 +291,7 @@ def sample_uniform_rbf_with_volume(
         if trials >= 10 * _REJECTION_CHUNK and n_accepted < _MIN_ACCEPT_RATE * trials:
             raise RbfSamplingError(
                 f"acceptance rate {n_accepted / trials:.2e} below {_MIN_ACCEPT_RATE}; "
-                "use a tighter bounding box"
+                "the set fills too little of its bounding box"
             )
     volume = box_volume * (n_accepted / trials)
     return np.concatenate(accepted, axis=0)[:n], volume

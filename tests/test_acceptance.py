@@ -154,9 +154,7 @@ def test_criterion_3_nec_rbf():
         rbf_options=RbfOptions(m=2, gamma=0.25),
     )
     fitted = result.invariant_set
-    centers_in = fitted.contains(np.array([-0.6, 0.0])) and fitted.contains(
-        np.array([0.6, 0.0])
-    )
+    centers_in = bool(fitted.contains_batch(np.array([[-0.6, 0.0], [0.6, 0.0]])).all())
     ok = (
         result.history.termination == "certified"
         and result.certificate.epsilon_star <= 0.05

@@ -16,6 +16,7 @@ from invset.algorithm import (
 )
 from invset.ellipsoid import Ellipsoid
 from invset.hybrid import IntegrationOptions, PoincareMap, contraction_init, fd_jacobian
+from invset.pac import binomial_tail_inversion
 from invset.rbf import RBFSet
 from invset.systems import (
     COMPASS_GAIT_SECTION_SEED,
@@ -46,7 +47,7 @@ class TestPartition:
         batch = partition(E, inputs, outputs)
         assert batch.violations == 0
         assert np.array_equal(batch.retained_inputs, inputs)
-        assert batch.escaped_outputs.shape[0] == 0
+        assert batch.outputs[~batch.flags].shape[0] == 0
 
     def test_all_outside(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
@@ -62,11 +63,14 @@ class TestPartition:
         inputs = rng.uniform(-2, 2, size=(40, 2))
         outputs = rng.uniform(-2, 2, size=(40, 2))
         batch = partition(E, inputs, outputs)
-        assert batch.retained_inputs.shape == batch.retained_outputs.shape
-        assert batch.escaped_inputs.shape == batch.escaped_outputs.shape
-        assert batch.retained_inputs.shape[0] + batch.escaped_inputs.shape[0] == 40
-        assert E.contains_batch(batch.retained_outputs).all()
-        assert not E.contains_batch(batch.escaped_outputs).any()
+        retained, escaped = batch.flags, ~batch.flags
+        assert np.array_equal(batch.retained_inputs, batch.inputs[retained])
+        assert batch.inputs[retained].shape == batch.outputs[retained].shape
+        assert batch.inputs[escaped].shape == batch.outputs[escaped].shape
+        assert batch.inputs[retained].shape[0] + batch.inputs[escaped].shape[0] == 40
+        assert batch.violations == batch.inputs[escaped].shape[0]
+        assert E.contains_batch(batch.outputs[retained]).all()
+        assert not E.contains_batch(batch.outputs[escaped]).any()
 
     def test_failure_rows_escape(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
@@ -97,7 +101,7 @@ class TestPartition:
         batch = partition(candidate, pts, outputs, ok)
         offsets = pts - p.c
         m_norm = np.sqrt(np.einsum("ij,jk,ik->i", offsets, p.M, offsets))
-        assert 0 < batch.violations < batch.n
+        assert 0 < batch.violations < len(pts)
         assert np.array_equal(batch.flags, m_norm <= area_ratio**0.25)
 
 
@@ -112,6 +116,21 @@ class TestRun:
         assert abs(res.certificate.epsilon_star - closed_form) < 1e-9
         assert res.invariant_set.volume() == E0.volume()
 
+    @pytest.mark.parametrize(
+        "pmap, max_iters, termination",
+        [(IDENTITY_MAP, 10, "certified"), (cec_poincare_map(), 1, "budget")],
+        ids=["certified", "budget"],
+    )
+    def test_certificate_counts_its_scoring_batch(self, pmap, max_iters, termination):
+        E0 = Ellipsoid.ball(math.sqrt(10), [0, 0])
+        res = run(pmap, E0, 1000, 0.03, 1e-9, max_iters, seed=3)
+        assert res.history.termination == termination
+        v = int((~res.history.records[-1].batch.flags).sum())
+        cert = res.certificate
+        assert (cert.violations, cert.samples, cert.beta, cert.steps) == (v, 1000, 1e-9, 1)
+        assert cert.epsilon_star == binomial_tail_inversion(v, 1000, 1e-9)
+        assert cert.epsilon_star > v / 1000
+
     def test_certificate_freshness(self):
         # the certified iterate must equal the candidate its samples scored,
         # not a refit of them
@@ -123,8 +142,6 @@ class TestRun:
         assert last.epsilon_star == res.certificate.epsilon_star
 
     def test_epsilon_star_matches_inversion(self):
-        from invset.pac import binomial_tail_inversion
-
         pm = cec_poincare_map()
         res = run(pm, Ellipsoid.ball(math.sqrt(10), [0, 0]), 500, 0.05, 1e-6, 40, seed=2)
         for rec in res.history.records:

@@ -86,6 +86,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="many"):
             load_config(file)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"init": {"mode": "contraction", "r": "abc"}},
+            {"init": {"mode": "contraction", "r": math.inf}},
+            {"init": {"mode": "contraction", "fixed_point_seed": [1.0, 1.0, 1.0]}},
+            {"rbf": {"m": "x"}},
+            {"rbf": {"gamma": "x"}},
+            {"representation": "rbf", "rbf": {"m": 2, "gamma": 3.0}},
+            {"integration": {"rel_tol": "x"}},
+            {"system_params": {"bogus": 1}},
+            {"system_params": {"c": [1.0]}},
+            {"init": {"mode": "explicit", "ellipsoid": {"dim": 1, "A": [1.0], "b": [0.0]}}},
+        ],
+        ids=[
+            "init.r", "init.r-inf", "init.fixed_point_seed",
+            "rbf.m", "rbf.gamma", "rbf.gamma-above-m", "integration.rel_tol", "system_params-unknown", "system_params-shape",
+            "init.ellipsoid-dim",
+        ],
+    )
+    def test_bad_nested_value_fails_before_any_output(self, tmp_path, capsys, overrides):
+        file = write_config(tmp_path, **overrides)
+        assert main(["run", str(file)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "config-echo.json").exists()
+
     def test_only_the_rk45_method_exists(self, tmp_path):
         # rk45, the batched engine's Dormand-Prince 5(4) pair, is the only method
         with pytest.raises(ValueError, match="dop853"):
@@ -239,9 +265,46 @@ class TestVerifyCommand:
         assert err.startswith("config error:") and "integration" in err
         assert not (tmp_path / "out" / "kstep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s.pop("A"),
+            lambda s: s.update(A=[1.0, 0.0, 1.0]),
+            lambda s: s.update(type="rbf", centers=[[1.0, 1.0]], widths=[1.0], gamma=1.5),
+            lambda s: s.update(type="rbf", centers=[[1.0, 1.0]], gamma=0.5),
+            lambda s: s.update(dim=1, A=[1.0], b=[0.0]),
+        ],
+        ids=["no-A", "A-of-3", "rbf-gamma-above-m", "rbf-no-widths", "dim-1"],
+    )
+    def test_malformed_invariant_set_is_a_config_error(self, tmp_path, capsys, edit):
+        file = write_config(tmp_path)
+        main(["run", str(file)])
+        result = tmp_path / "out" / "result.json"
+        payload = json.loads(result.read_text())
+        edit(payload["invariant_set"])
+        result.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", str(result)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "kstep.csv").exists()
+
+    def test_kmax_defaults_to_the_runs_k_max(self, tmp_path):
+        file = write_config(tmp_path, k_max=3)
+        main(["run", str(file)])
+        result = tmp_path / "out" / "result.json"
+        assert main(["verify", str(result), "--samples", "200"]) == EXIT_OK
+        lines = (tmp_path / "out" / "kstep.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
+
     def test_missing_result_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == EXIT_ERROR
         assert "result" in capsys.readouterr().err
+
+    def test_result_that_is_not_an_object(self, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        result.write_text("5")
+        assert main(["verify", str(result)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestStudyCommand:

@@ -67,23 +67,23 @@ class ZeroingStream:
 class TestContainment:
     def test_center_of_unit_ball(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
-        assert E.contains([0.0, 0.0])
+        assert E.contains_batch([[0.0, 0.0]]).tolist() == [True]
 
     def test_boundary_is_inside_just_outside_is_not(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
-        assert E.contains([1.0, 0.0])
-        assert not E.contains([1.0 + 1e-6, 0.0])
+        assert E.contains_batch([[1.0, 0.0], [1.0 + 1e-6, 0.0]]).tolist() == [True, False]
 
     def test_cec_boundary_point(self):
         # (x-c)' M (x-c) = [0,1] M [0,1]' = 1 exactly: on the boundary
         E = cec_true_set()
-        assert E.contains([1.0, 2.0])
-        assert abs(E.boundary_distance([1.0, 2.0]) - 1.0) < 1e-12
+        assert E.contains_batch([[1.0, 2.0]]).tolist() == [True]
+        assert abs(np.linalg.norm(E.A @ [1.0, 2.0] - E.b) - 1.0) < 1e-12
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("point", [[1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]], ids=["point", "batch"])
+    def test_dimension_mismatch_rejected(self, point):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         with pytest.raises(ValueError):
-            E.contains([1.0, 0.0, 0.0])
+            E.contains_batch(point)
 
     def test_overflowing_residual_is_outside(self):
         # escaped cec images square their offset each step; an overflowed

@@ -194,7 +194,7 @@ class TestContractionInit:
         center = np.array([1.0, -2.0])
         E = contraction_init(0.3 * np.eye(2), r=2.0, center=center)
         assert np.allclose(E.center, center, atol=1e-12)
-        assert E.contains(center)
+        assert E.contains_batch([center]).tolist() == [True]
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableLinearization):

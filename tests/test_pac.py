@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invset.pac import PacCertificate, binomial_cdf, binomial_tail_inversion, certify
+from invset.pac import PacCertificate, binomial_cdf, binomial_tail_inversion
 
 
 def direct_sum_cdf(v, n, e):
@@ -104,39 +104,10 @@ class TestTailInversion:
         assert abs(eps - 0.1) < 0.01
 
 
-class TestCertify:
-    def test_no_violations(self):
-        cert = certify([True] * 1000, beta=1e-9)
-        assert cert.violations == 0
-        assert cert.samples == 1000
-        assert abs(cert.epsilon_star - (1.0 - 1e-9 ** (1.0 / 1000))) < 1e-9
-
-    def test_all_violations(self):
-        cert = certify([False] * 8, beta=0.5)
-        assert cert.epsilon_star == 1.0
-
-    def test_mixed_flags_dominate_rate(self):
-        flags = [False] * 30 + [True] * 970
-        cert = certify(flags, beta=1e-9)
-        assert cert.violations == 30
-        assert cert.epsilon_star > 0.03
-        assert cert.epsilon_star == pytest.approx(
-            binomial_tail_inversion(30, 1000, 1e-9), abs=1e-15
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            certify([], beta=0.1)
-
-    def test_records_step_count(self):
-        cert = certify([True] * 10, beta=0.5, steps=7)
-        assert cert.steps == 7
-
-    def test_serialization_round_trip(self):
-        cert = certify([True, False, True], beta=0.2, steps=3)
-        data = cert.to_dict()
-        assert set(data) == {"v", "N", "beta", "epsilon_star", "k"}
-        assert PacCertificate.from_dict(data) == cert
+class TestPacCertificate:
+    def test_to_dict(self):
+        cert = PacCertificate(violations=1, samples=3, beta=0.2, epsilon_star=0.9, steps=7)
+        assert cert.to_dict() == {"v": 1, "N": 3, "beta": 0.2, "epsilon_star": 0.9, "k": 7}
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

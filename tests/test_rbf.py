@@ -9,7 +9,6 @@ from invset.rbf import (
     RBFSet,
     RbfSamplingError,
     fit_rbf,
-    sample_uniform_rbf,
     sample_uniform_rbf_with_volume,
 )
 
@@ -17,14 +16,15 @@ from invset.rbf import (
 class TestMembership:
     def test_center_is_member(self):
         s = RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=0.5)
-        assert s.contains(np.zeros(2))
+        assert s.contains_batch([np.zeros(2)]).tolist() == [True]
 
     def test_ball_threshold_boundary(self):
         # at gamma = exp(-1/2) the single-bump boundary is exactly |x - mu| = sigma
         s = RBFSet(centers=[[1.0, -1.0]], widths=[0.7], gamma=GAMMA_BALL)
         direction = np.array([0.6, 0.8])
-        assert s.contains(np.array([1.0, -1.0]) + 0.7 * direction)
-        assert not s.contains(np.array([1.0, -1.0]) + 0.7 * (1 + 1e-9) * direction)
+        boundary = np.array([1.0, -1.0]) + 0.7 * direction
+        beyond = np.array([1.0, -1.0]) + 0.7 * (1 + 1e-9) * direction
+        assert s.contains_batch([boundary, beyond]).tolist() == [True, False]
 
     def test_matches_ellipsoid_ball(self):
         center = np.array([0.5, 0.2, -0.1])
@@ -56,7 +56,7 @@ class TestFit:
         s = fit_rbf(np.array([[2.0, 3.0]]), m=1)
         assert np.allclose(s.centers[0], [2.0, 3.0], atol=1e-9)
         assert s.widths[0] < 1e-3
-        assert s.contains(np.array([2.0, 3.0]))
+        assert s.contains_batch([[2.0, 3.0]]).tolist() == [True]
 
     def test_all_training_points_are_members(self):
         rng = np.random.default_rng(1)
@@ -115,7 +115,7 @@ class TestFit:
 class TestSampling:
     def test_samples_are_members(self):
         s = RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=GAMMA_BALL)
-        pts = sample_uniform_rbf(s, 2000, seed=5)
+        pts = sample_uniform_rbf_with_volume(s, 2000, seed=5)[0]
         assert pts.shape == (2000, 2)
         assert s.contains_batch(pts).all()
 
@@ -124,14 +124,14 @@ class TestSampling:
         # uniform law is sigma^2 / (dim + 2) per coordinate
         sigma = 0.8
         s = RBFSet(centers=[[0.0, 0.0]], widths=[sigma], gamma=GAMMA_BALL)
-        pts = sample_uniform_rbf(s, 60_000, seed=6)
+        pts = sample_uniform_rbf_with_volume(s, 60_000, seed=6)[0]
         target = sigma**2 / 4.0
         assert np.all(np.abs(pts.var(axis=0) - target) < 0.05 * target)
 
     def test_two_lobe_mass_split(self):
         # disjoint lobes with 2:1 width ratio: area ratio 4:1 in 2D
         s = RBFSet(centers=[[-5.0, 0.0], [5.0, 0.0]], widths=[1.0, 0.5], gamma=GAMMA_BALL)
-        pts = sample_uniform_rbf(s, 40_000, seed=7)
+        pts = sample_uniform_rbf_with_volume(s, 40_000, seed=7)[0]
         left = (pts[:, 0] < 0).mean()
         expected = 4.0 / 5.0
         sigma_mc = math.sqrt(expected * (1 - expected) / 40_000)
@@ -148,7 +148,7 @@ class TestSampling:
         # 4.29 at m = 1 and gamma = 1e-4, beyond the 4-width default pad
         s = RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=1e-4)
         member = np.array([4.2, 0.0])
-        assert s.contains(member)
+        assert s.contains_batch([member]).tolist() == [True]
         lo, hi = s.bounding_box()
         assert np.all(lo <= member) and np.all(member <= hi)
         _, volume = sample_uniform_rbf_with_volume(s, 20_000, seed=3)
@@ -156,14 +156,15 @@ class TestSampling:
 
     def test_deterministic(self):
         s = RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=GAMMA_BALL)
-        a = sample_uniform_rbf(s, 100, seed=9, context=2)
-        b = sample_uniform_rbf(s, 100, seed=9, context=2)
+        a = sample_uniform_rbf_with_volume(s, 100, seed=9, context=2)[0]
+        b = sample_uniform_rbf_with_volume(s, 100, seed=9, context=2)[0]
         assert np.array_equal(a, b)
 
     def test_low_acceptance_rate_raises(self):
-        s = RBFSet(centers=[[0.0, 0.0]], widths=[1e-3], gamma=GAMMA_BALL)
+        # two unit bumps 1e5 apart fill about 2.4e-5 of their own bounding box
+        s = RBFSet(centers=[[0.0, 0.0], [1e5, 0.0]], widths=[1.0, 1.0], gamma=0.25)
         with pytest.raises(RbfSamplingError):
-            sample_uniform_rbf(s, 100, bounding_box=(np.full(2, -50.0), np.full(2, 50.0)), seed=10)
+            sample_uniform_rbf_with_volume(s, 100, seed=10)
 
     def test_serialization_round_trip(self):
         s = RBFSet(centers=[[0.1, 0.2], [-0.3, 0.4]], widths=[0.5, 0.6], gamma=0.25)
