@@ -10,6 +10,7 @@ minimum-volume ellipsoid by default, a summed-Gaussian set optionally — and
 the loop repeats.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -121,6 +122,12 @@ class RbfOptions:
 
     m: int = 2
     gamma: float = GAMMA_BALL  # single bump == sigma-ball
+
+    def __post_init__(self):
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        if not 0.0 < self.gamma < self.m:
+            raise ValueError(f"gamma must lie in (0, m), got {self.gamma!r}")
 
 
 def evaluate_map(pmap: PoincareMap, points: np.ndarray, k: int = 1):

@@ -47,21 +47,28 @@ class ConfigError(ValueError):
     """Configuration file failed validation."""
 
 
-_INTEGRATION_KEYS = {"rel_tol", "abs_tol", "guard_tol", "t_min", "max_flow_time", "method"}
-_TOP_KEYS = {
-    "system",
-    "system_params",
-    "representation",
-    "N",
-    "eps_target",
-    "beta",
-    "max_iters",
-    "seed",
-    "init",
-    "integration",
-    "rbf",
-    "k_max",
-    "output_dir",
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# Top-level config keys: (conversion, default).  The nested blocks are
+# checked by the classes they configure.
+_DEFAULTS = {
+    "system": (str, None),
+    "system_params": (dict, {}),
+    "representation": (str, "ellipsoid"),
+    "N": (int, 1000),
+    "eps_target": (float, 0.03),
+    "beta": (float, 1e-9),
+    "max_iters": (int, 500),
+    "seed": (int, 0),
+    "init": (dict, {"mode": "contraction", "r": 5.0}),
+    "integration": (dict, {}),
+    "rbf": (dict, {}),
+    "k_max": (int, 20),
+    "output_dir": (_text, "invset-run"),
 }
 
 
@@ -105,44 +112,27 @@ def load_config(path) -> dict:
 def validate_config(raw) -> dict:
     """Validate a parsed run configuration, filling in defaults."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    _reject_unknown(raw, set(_DEFAULTS), "config")
 
-    try:
-        cfg = {
-            "system": raw.get("system"),
-            "system_params": dict(raw.get("system_params", {})),
-            "representation": raw.get("representation", "ellipsoid"),
-            "N": int(raw.get("N", 1000)),
-            "eps_target": float(raw.get("eps_target", 0.03)),
-            "beta": float(raw.get("beta", 1e-9)),
-            "max_iters": int(raw.get("max_iters", 500)),
-            "seed": int(raw.get("seed", 0)),
-            "init": dict(raw.get("init", {"mode": "contraction", "r": 5.0})),
-            "integration": dict(raw.get("integration", {})),
-            "rbf": dict(raw.get("rbf", {})),
-            "k_max": int(raw.get("k_max", 20)),
-            "output_dir": raw.get("output_dir", "invset-run"),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+    cfg = {
+        key: _checked(f"config.{key}", convert, raw.get(key, default))
+        for key, (convert, default) in _DEFAULTS.items()
+    }
     _require(cfg["system"] in SYSTEM_NAMES, f"system must be one of {SYSTEM_NAMES}")
     _require(cfg["representation"] in ("ellipsoid", "rbf"), "representation must be 'ellipsoid' or 'rbf'")
-    _require(cfg["N"] >= 1, "N must be >= 1")
     _require(0.0 < cfg["eps_target"] < 1.0, "eps_target must be in (0, 1)")
     _require(0.0 < cfg["beta"] < 1.0, "beta must be in (0, 1)")
     _require(cfg["max_iters"] >= 1, "max_iters must be >= 1")
     _require(cfg["k_max"] >= 1, "k_max must be >= 1")
 
-    _reject_unknown(cfg["integration"], _INTEGRATION_KEYS, "config.integration")
-    defaults = IntegrationOptions()
-    merged = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)}
-    merged.update(cfg["integration"])
-    cfg["integration"] = merged
-    options = _checked("config.integration", IntegrationOptions, **merged)
+    options = _checked("config.integration", IntegrationOptions, **cfg["integration"])
+    cfg["integration"] = dataclasses.asdict(options)
+    cfg["rbf"] = dataclasses.asdict(_checked("config.rbf", RbfOptions, **cfg["rbf"]))
     bundle = _checked(
         "config.system_params", build_system, cfg["system"], cfg["system_params"], options
     )
     dim = bundle.reduced_dim
+    _require(cfg["N"] >= dim + 1, f"N must be >= dim + 1 = {dim + 1} for {cfg['system']}")
 
     init = cfg["init"]
     mode = init.get("mode")
@@ -168,14 +158,6 @@ def validate_config(raw) -> dict:
         )
     else:
         raise ConfigError("config.init.mode must be 'explicit' or 'contraction'")
-
-    _reject_unknown(cfg["rbf"], {"m", "gamma"}, "config.rbf")
-    cfg["rbf"].setdefault("m", RbfOptions.m)
-    cfg["rbf"].setdefault("gamma", RbfOptions.gamma)
-    m = _checked("config.rbf.m", int, cfg["rbf"]["m"])
-    _require(m >= 1, "rbf.m must be >= 1")
-    gamma = _checked("config.rbf.gamma", float, cfg["rbf"]["gamma"])
-    _require(0.0 < gamma < m, "rbf.gamma must lie in (0, rbf.m)")
     return cfg
 
 
@@ -259,7 +241,7 @@ def _run_config(cfg: dict, pmap, initial, seed: int, store_samples: bool):
         cfg["max_iters"],
         seed,
         representation=cfg["representation"],
-        rbf_options=RbfOptions(m=int(cfg["rbf"]["m"]), gamma=float(cfg["rbf"]["gamma"])),
+        rbf_options=RbfOptions(**cfg["rbf"]),
         store_samples=store_samples,
     )
 
@@ -278,13 +260,18 @@ def _initial_ellipsoid(cfg: dict):
     return initial, fixed_point, [float(v) for v in magnitudes]
 
 
-def cmd_run(config_path) -> int:
+def _start(config_path):
+    """Load and validate a config, echo it into its output directory, and
+    build its system: (config, output directory, system bundle)."""
     cfg = load_config(config_path)
     outdir = _resolve_output_dir(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "config-echo.json", cfg)
+    return cfg, outdir, _build_from_config(cfg)
 
-    bundle = _build_from_config(cfg)
+
+def cmd_run(config_path) -> int:
+    cfg, outdir, bundle = _start(config_path)
     initial, fixed_point, floquet = _initial_ellipsoid(cfg)
     result = _run_config(cfg, bundle.poincare_map, initial, cfg["seed"], store_samples=True)
 
@@ -328,7 +315,7 @@ def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
         if key not in payload:
             raise ConfigError(f"result file {result_path} is missing '{key}'")
     cfg = validate_config(payload["config"])
-    missing = sorted(_TOP_KEYS - set(payload["config"]))
+    missing = sorted(set(_DEFAULTS) - set(payload["config"]))
     if missing:
         raise ConfigError(f"the config in {result_path} is missing {missing}")
     invariant_set = _set_from_payload(payload["invariant_set"])
@@ -356,12 +343,7 @@ def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
 def cmd_study(config_path, runs: int) -> int:
     if runs < 2:
         raise ConfigError("study needs runs >= 2")
-    cfg = load_config(config_path)
-    outdir = _resolve_output_dir(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "config-echo.json", cfg)
-
-    bundle = _build_from_config(cfg)
+    cfg, outdir, bundle = _start(config_path)
     initial, _, _ = _initial_ellipsoid(cfg)
     outcomes = []
     failures = []

@@ -10,6 +10,7 @@ package (options, failure classes, the map type) and the analysis of a
 map's fixed point.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -70,8 +71,15 @@ class IntegrationOptions:
     def __post_init__(self):
         if self.method != "rk45":
             raise ValueError(f"unknown integration method {self.method!r} (only 'rk45')")
-        if min(self.rel_tol, self.abs_tol, self.guard_tol, self.max_flow_time) <= 0:
-            raise ValueError("tolerances and max_flow_time must be positive")
+        # the chained comparisons are False for NaN, which would stall the
+        # step-size control at its minimum step
+        positive = (self.rel_tol, self.abs_tol, self.guard_tol, self.max_flow_time)
+        if not all(0.0 < x < math.inf for x in positive):
+            raise ValueError(
+                "rel_tol, abs_tol, guard_tol and max_flow_time must be finite and positive"
+            )
+        if not 0.0 <= self.t_min < math.inf:
+            raise ValueError("t_min must be finite and >= 0")
 
     def tightened(self) -> "IntegrationOptions":
         """Stricter copy used for fixed-point and Jacobian computations."""

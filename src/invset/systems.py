@@ -31,6 +31,8 @@ class CecParams:
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).reshape(2)
         M = np.asarray(self.M, dtype=float).reshape(2, 2)
+        if not (np.isfinite(c).all() and np.isfinite(M).all()):
+            raise ValueError("c and M must be finite")
         if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
             raise ValueError("metric must be symmetric")
         if np.linalg.eigvalsh(M).min() < 0:
@@ -83,10 +85,13 @@ class NecParams:
     def __post_init__(self):
         c1 = np.asarray(self.c1, dtype=float).reshape(2)
         c2 = np.asarray(self.c2, dtype=float).reshape(2)
-        if self.r <= 0:
-            raise ValueError("disc radius must be positive")
-        if self.kappa <= 1:
-            raise ValueError("expansion factor must exceed 1")
+        # the chained comparisons also reject NaN
+        if not 0 < self.r < math.inf:
+            raise ValueError("disc radius must be finite and positive")
+        if not 1 < self.kappa < math.inf:
+            raise ValueError("expansion factor must be finite and exceed 1")
+        if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
+            raise ValueError("disc centers must be finite")
         if np.linalg.norm(c1 - c2) == 0:
             raise ValueError("disc centers must differ")
         c1.setflags(write=False)
@@ -142,10 +147,13 @@ class CompassGaitParams:
     min_leg_separation: float = 0.05
 
     def __post_init__(self):
-        if min(self.m, self.m_h, self.a, self.b, self.g) <= 0:
-            raise ValueError("masses, lengths, and gravity must be positive")
+        # a NaN field would make every integration step fail until the attempt cap
+        if not all(0 < x < math.inf for x in (self.m, self.m_h, self.a, self.b, self.g)):
+            raise ValueError("masses, lengths, and gravity must be finite and positive")
         if not 0.0 < self.slope < math.pi / 2:
             raise ValueError("slope must lie in (0, pi/2)")
+        if not math.isfinite(self.min_leg_separation):
+            raise ValueError("min_leg_separation must be finite")
 
     @property
     def l(self) -> float:
@@ -310,22 +318,27 @@ class SystemBundle:
     """A named benchmark wired up for the identification pipeline."""
 
     name: str
-    reduced_dim: int
     poincare_map: PoincareMap
     params: object
     fixed_point_seed: np.ndarray = None
 
+    @property
+    def reduced_dim(self) -> int:
+        return self.poincare_map.reduced_dim
 
-def _apply_overrides(params_cls, defaults, overrides):
-    if not overrides:
-        return defaults
-    fields = {f for f in defaults.__dataclass_fields__}
-    unknown = set(overrides) - fields
-    if unknown:
-        raise ValueError(f"unknown {params_cls.__name__} keys: {sorted(unknown)}")
-    merged = {f: getattr(defaults, f) for f in fields}
-    merged.update(overrides)
-    return params_cls(**merged)
+
+# name -> (params class, map factory of (params, integration), fixed-point seed of params)
+_REGISTRY = {
+    "cec": (CecParams, lambda p, _: cec_poincare_map(p), lambda p: np.array(p.c, dtype=float)),
+    "nec": (NecParams, lambda p, _: nec_poincare_map(p), lambda p: np.array(p.c1, dtype=float)),
+    "compass_gait": (
+        CompassGaitParams,
+        compass_gait_poincare_map,
+        lambda p: COMPASS_GAIT_SECTION_SEED.copy(),
+    ),
+}
+
+SYSTEM_NAMES = tuple(_REGISTRY)
 
 
 def build_system(
@@ -333,35 +346,18 @@ def build_system(
     overrides: dict = None,
     integration: IntegrationOptions = DEFAULT_INTEGRATION,
 ) -> SystemBundle:
-    """Construct a benchmark by name ("cec", "nec", "compass_gait")."""
-    if name == "cec":
-        p = _apply_overrides(CecParams, CecParams(), overrides)
-        return SystemBundle(
-            name=name,
-            reduced_dim=2,
-            poincare_map=cec_poincare_map(p),
-            params=p,
-            fixed_point_seed=np.array(p.c, dtype=float),
-        )
-    if name == "nec":
-        p = _apply_overrides(NecParams, NecParams(), overrides)
-        return SystemBundle(
-            name=name,
-            reduced_dim=2,
-            poincare_map=nec_poincare_map(p),
-            params=p,
-            fixed_point_seed=np.array(p.c1, dtype=float),
-        )
-    if name == "compass_gait":
-        p = _apply_overrides(CompassGaitParams, CompassGaitParams(), overrides)
-        return SystemBundle(
-            name=name,
-            reduced_dim=3,
-            poincare_map=compass_gait_poincare_map(p, integration),
-            params=p,
-            fixed_point_seed=COMPASS_GAIT_SECTION_SEED.copy(),
-        )
-    raise ValueError(f"unknown system {name!r}; known: cec, nec, compass_gait")
-
-
-SYSTEM_NAMES = ("cec", "nec", "compass_gait")
+    """Construct a benchmark by name ("cec", "nec", "compass_gait"); the
+    `overrides` are keyword arguments of its params class."""
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}")
+    params_cls, make_map, seed_of = _REGISTRY[name]
+    try:
+        params = params_cls(**(overrides or {}))
+    except TypeError as exc:  # an unknown key or a value of the wrong type
+        raise ValueError(f"{name} parameters: {exc}") from exc
+    return SystemBundle(
+        name=name,
+        poincare_map=make_map(params, integration),
+        params=params,
+        fixed_point_seed=seed_of(params),
+    )

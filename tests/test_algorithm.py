@@ -189,6 +189,14 @@ class TestRun:
         with pytest.raises(ValueError):
             run(IDENTITY_MAP, E0, 2, 0.03, 1e-9, 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "options", [{"gamma": 3.0}, {"m": 2.5}, {"m": 2.0}, {"m": "2"}, {"m": 0, "gamma": 0.5}]
+    )
+    def test_rbf_options_are_checked_on_construction(self, options):
+        # before any scoring pass: gamma in (0, m) and an integer m >= 1
+        with pytest.raises(ValueError):
+            RbfOptions(**options)
+
     def test_wall_ms_covers_the_refit(self, monkeypatch):
         real_mvee = invset.algorithm.mvee
 

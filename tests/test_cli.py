@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import invset
-from invset.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, ConfigError, load_config, main
+from invset.algorithm import RbfOptions
+from invset.cli import _DEFAULTS, EXIT_BUDGET, EXIT_ERROR, EXIT_OK, ConfigError, load_config, main
 from invset.hybrid import IntegrationOptions
 from invset.pac import binomial_tail_inversion
 
@@ -99,11 +102,16 @@ class TestConfigValidation:
             {"system_params": {"bogus": 1}},
             {"system_params": {"c": [1.0]}},
             {"init": {"mode": "explicit", "ellipsoid": {"dim": 1, "A": [1.0], "b": [0.0]}}},
+            {"integration": {"rel_tol": math.nan}},
+            {"N": 2},
+            {"output_dir": 5},
+            {"system": "nec", "system_params": {"r": math.nan}},
         ],
         ids=[
             "init.r", "init.r-inf", "init.fixed_point_seed",
             "rbf.m", "rbf.gamma", "rbf.gamma-above-m", "integration.rel_tol", "system_params-unknown", "system_params-shape",
-            "init.ellipsoid-dim",
+            "init.ellipsoid-dim", "integration.rel_tol-nan", "N-below-dim-plus-one", "output_dir-not-a-string",
+            "system_params-nan",
         ],
     )
     def test_bad_nested_value_fails_before_any_output(self, tmp_path, capsys, overrides):
@@ -119,6 +127,16 @@ class TestConfigValidation:
         file = write_config(tmp_path, integration={"method": "dop853"})
         with pytest.raises(ConfigError, match="dop853"):
             load_config(file)
+
+
+def test_readme_config_block_lists_the_accepted_keys():
+    # the README's annotated config shows every key, in the order of the echo
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    shown = json.loads(re.sub(r"//.*", "", block))
+    assert list(shown) == list(_DEFAULTS)
+    assert list(shown["integration"]) == [f.name for f in dataclasses.fields(IntegrationOptions)]
+    assert list(shown["rbf"]) == [f.name for f in dataclasses.fields(RbfOptions)]
 
 
 def _subprocess_env(**extra):

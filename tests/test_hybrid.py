@@ -119,6 +119,19 @@ class TestIntegrateToGuard:
         with pytest.raises(GuardNotReached):
             integrate_to_guard(sys, np.array([1.0, 0.0]), IntegrationOptions(max_flow_time=10.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rel_tol", math.nan), ("abs_tol", math.inf), ("guard_tol", 0.0),
+            ("max_flow_time", math.nan), ("t_min", math.nan), ("t_min", -1e-6),
+        ],
+    )
+    def test_non_finite_or_out_of_range_option_rejected(self, field, value):
+        # a NaN tolerance rejects every step down to the attempt cap: it must
+        # not get as far as an integration
+        with pytest.raises(ValueError, match=field):
+            IntegrationOptions(**{field: value})
+
     def test_halving_tolerances_is_consistent(self):
         sys = harmonic_oscillator()
         base = IntegrationOptions(rel_tol=1e-9, abs_tol=1e-11)

@@ -269,3 +269,21 @@ class TestRegistry:
             CompassGaitParams(slope=-0.1)
         with pytest.raises(ValueError):
             CecParams(M=((1.0, 2.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "params_cls, overrides",
+        [
+            (CecParams, {"c": (math.nan, 1.0)}),
+            (CecParams, {"M": ((math.nan, 0.0), (0.0, 1.0))}),
+            (NecParams, {"r": math.nan}),
+            (NecParams, {"kappa": math.inf}),
+            (NecParams, {"c1": (math.nan, 0.0)}),
+            (CompassGaitParams, {"m": math.nan}),
+            (CompassGaitParams, {"a": math.inf}),
+            (CompassGaitParams, {"min_leg_separation": math.nan}),
+        ],
+    )
+    def test_non_finite_param_rejected(self, params_cls, overrides):
+        # comparisons with NaN are False, so a range check alone lets it through
+        with pytest.raises(ValueError, match="finite"):
+            params_cls(**overrides)
