@@ -94,9 +94,10 @@ class BatchStepper:
     """Adaptive RK5(4) over an (n, dim) batch with per-row step control.
 
     Use `active` to see which rows still run, call `step()` to advance every
-    active row by one attempted step, then inspect `accepted_rows`;
-    `segment(rows)` gives the dense output of the last step for some of them,
-    for event handling.  Rows are retired with `finish(rows)`.
+    active row by one attempted step, then inspect `accepted_rows` and
+    `stalled_rows`; `segment(rows)` gives the dense output of the last step
+    for some of them, for event handling.  Rows are retired with
+    `finish(rows)`.
     """
 
     def __init__(self, fun, y0, t_bound, rtol, atol):
@@ -111,6 +112,7 @@ class BatchStepper:
         self.active = np.ones(self.n, dtype=bool)
         self.rejected_last = np.zeros(self.n, dtype=bool)
         self.accepted_rows = np.empty(0, dtype=int)
+        self.stalled_rows = np.empty(0, dtype=int)
         # the last step: attempted rows and their t, h, y and stages (7, m, dim)
         self._last = None
         # per-row step sizes and FSAL stages
@@ -126,10 +128,11 @@ class BatchStepper:
         return DenseSegment(t[local], h[local], y[local], k.transpose(1, 0, 2)[local])
 
     def step(self):
-        """Attempt one step on every active row; sets `accepted_rows`."""
+        """Attempt one step on every active row; sets `accepted_rows` and
+        `stalled_rows`."""
         rows = np.flatnonzero(self.active)
         if rows.size == 0:
-            self.accepted_rows = rows
+            self.accepted_rows = self.stalled_rows = rows
             return
         t = self.t[rows]
         y = self.y[rows]
@@ -168,3 +171,6 @@ class BatchStepper:
         self.h[rows] = h * factor
         self.rejected_last[rows] = ~accept
         self.accepted_rows = acc_rows
+        # a non-finite error at the smallest step (or a NaN step) cannot be
+        # cured by shrinking: the vector field is non-finite there
+        self.stalled_rows = rows[~finite & ~(h > tiny)]

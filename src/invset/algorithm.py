@@ -33,10 +33,9 @@ class CollapseError(RuntimeError):
 class SampleBatch:
     """Input/output pairs of one iteration with containment flags.
 
-    `flags[i]` is True iff the image of sample i exists and lies inside the
-    candidate; a failed evaluation is flagged False, with a NaN row standing
-    in for the missing image.  The refit uses `retained_inputs`, the inputs
-    whose image stayed inside.
+    `flags[i]` is True iff the image of sample i lies inside the candidate;
+    the NaN image of a failed evaluation never does.  The refit uses
+    `retained_inputs`, the inputs whose image stayed inside.
     """
 
     inputs: np.ndarray
@@ -52,22 +51,17 @@ class SampleBatch:
         return self.inputs[self.flags]
 
 
-def partition(candidate, inputs, outputs, ok=None) -> SampleBatch:
+def partition(candidate, inputs, outputs) -> SampleBatch:
     """Flag each sample pair by containment of its output in `candidate`.
 
-    `candidate` is any set object with `contains_batch`; `ok` marks rows
-    whose evaluation succeeded (a failed or non-finite row is flagged False).
+    `candidate` is any set object with `contains_batch`, which puts the NaN
+    row of a failed evaluation outside.
     """
     inputs = np.asarray(inputs, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
     if inputs.shape[0] != outputs.shape[0]:
         raise ValueError("inputs and outputs must pair up")
-    finite = np.all(np.isfinite(outputs), axis=1)
-    ok = finite if ok is None else np.asarray(ok, dtype=bool) & finite
-    flags = np.zeros(inputs.shape[0], dtype=bool)
-    if ok.any():
-        flags[ok] = candidate.contains_batch(outputs[ok])
-    return SampleBatch(inputs=inputs, outputs=outputs, flags=flags)
+    return SampleBatch(inputs=inputs, outputs=outputs, flags=candidate.contains_batch(outputs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,33 +118,38 @@ class RbfOptions:
     gamma: float = GAMMA_BALL  # single bump == sigma-ball
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         if not 0.0 < self.gamma < self.m:
             raise ValueError(f"gamma must lie in (0, m), got {self.gamma!r}")
 
 
+def check_run_settings(eps_target, beta, max_iters, representation):
+    """Raise ValueError for a setting of `run` outside its range."""
+    if not 0.0 < eps_target < 1.0:
+        raise ValueError("eps_target must be in (0, 1)")
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must be in (0, 1)")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if representation not in ("ellipsoid", "rbf"):
+        raise ValueError(f"unknown representation {representation!r}")
+
+
 def evaluate_map(pmap: PoincareMap, points: np.ndarray, k: int = 1):
     """Apply k steps of the map to every row of `points`.
 
-    Each step maps the rows still alive in one batch call; a row that fails
-    stays failed.  Returns (outputs, ok) where failed rows are NaN with ok
-    False.
+    Each step maps the rows still alive in one batch call; a failed row
+    stays failed, all-NaN as the map leaves it.  Returns (outputs, ok).
     """
-    points = np.asarray(points, dtype=float)
-    out = points.copy()
-    active = np.ones(points.shape[0], dtype=bool)
+    out = np.array(points, dtype=float)
+    ok = np.ones(out.shape[0], dtype=bool)
     for _ in range(k):
-        idx = np.flatnonzero(active)
+        idx = np.flatnonzero(ok)
         if idx.size == 0:
             break
-        stepped, step_ok = pmap.batch_evaluator(out[idx])
-        stepped = np.asarray(stepped, dtype=float)
-        step_ok = np.asarray(step_ok, dtype=bool) & np.all(np.isfinite(stepped), axis=1)
-        out[idx] = stepped
-        active[idx] = step_ok
-    out[~active] = np.nan
-    return out, active
+        out[idx], ok[idx] = pmap.batch_evaluator(out[idx])
+    return out, ok
 
 
 def _draw(candidate, n, seed, context):
@@ -165,8 +164,8 @@ def _draw(candidate, n, seed, context):
 def _score(pmap, candidate, n, beta, seed, context):
     """Draw, push one map step, partition, bound: (volume, batch, eps_star)."""
     points, volume = _draw(candidate, n, seed, context)
-    images, ok = evaluate_map(pmap, points)
-    batch = partition(candidate, points, images, ok)
+    images, _ = evaluate_map(pmap, points)
+    batch = partition(candidate, points, images)
     return volume, batch, binomial_tail_inversion(batch.violations, n, beta)
 
 
@@ -197,17 +196,9 @@ def run(
     which means the candidate lost the invariant set (enlarge the initial
     set, e.g. with a bigger contraction scale r).
     """
-    if not 0.0 < eps_target < 1.0:
-        raise ValueError("eps_target must be in (0, 1)")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must be in (0, 1)")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_run_settings(eps_target, beta, max_iters, representation)
     if n_samples < pmap.reduced_dim + 1:
         raise ValueError("need at least dim + 1 samples per iteration")
-
-    if representation not in ("ellipsoid", "rbf"):
-        raise ValueError(f"unknown representation {representation!r}")
     options = rbf_options or RbfOptions()
     candidate = initial_set
     records = []
@@ -289,10 +280,8 @@ def verify_k_step(
     exited = np.zeros(n_samples, dtype=bool)
     results = []
     for k in range(1, k_max + 1):
-        stepped, step_ok = evaluate_map(pmap, images[alive], 1)
-        images[alive] = stepped
-        alive[alive] = step_ok
-        batch = partition(invariant_set, points, images, alive)
+        images[alive], alive[alive] = evaluate_map(pmap, images[alive], 1)
+        batch = partition(invariant_set, points, images)
         exited |= ~batch.flags
         exits = int(exited.sum())
         results.append(

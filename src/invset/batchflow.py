@@ -23,9 +23,10 @@ from .hybrid import (
     IntegrationOptions,
     InvalidSectionPoint,
     PoincareMap,
+    checked_rows,
 )
 
-_RUNNING, _DONE, _FAIL_TIME, _FAIL_ESCAPE, _FAIL_REIMPACT, _FAIL_INVALID = range(6)
+_RUNNING, _DONE, _FAIL_TIME, _FAIL_ESCAPE, _FAIL_REIMPACT, _FAIL_INVALID, _FAIL_FIELD = range(7)
 
 # scipy.optimize.brentq's defaults
 _XTOL = 2e-12
@@ -187,11 +188,15 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
     stepper.finish(np.flatnonzero(bad))
 
     # generous deterministic cap on step attempts so a pathological row (e.g.
-    # a vector field returning NaN) cannot stall the batch forever
+    # one whose smallest step keeps failing its error test) cannot stall the
+    # batch forever
     for _ in range(1_000_000):
         if not stepper.active.any():
             break
         stepper.step()
+        if stepper.stalled_rows.size:
+            status[stepper.stalled_rows] = _FAIL_FIELD
+            stepper.finish(stepper.stalled_rows)
         rows = stepper.accepted_rows
         if rows.size == 0:
             # all attempted steps were rejected; controller shrinks and retries
@@ -222,6 +227,7 @@ _FAILURE_MESSAGES = {
     _FAIL_ESCAPE: (GuardNotReached, "trajectory escaped the operating region"),
     _FAIL_REIMPACT: (ImmediateReimpact, "guard crossing earlier than t_min"),
     _FAIL_INVALID: (InvalidSectionPoint, "state is not a valid section point"),
+    _FAIL_FIELD: (GuardNotReached, "non-finite vector field: no step is small enough"),
 }
 
 
@@ -240,10 +246,10 @@ def integrate_to_guard(
     skipped and the flow continues.
 
     Raises GuardNotReached when the time budget runs out, the trajectory
-    escapes, `x_plus` lies outside the domain or a crossing cannot be
-    localized to guard_tol (a NaN guard value, or no sign change on the
-    interpolant), and ImmediateReimpact for an accepted crossing before
-    t_min.
+    escapes, `x_plus` lies outside the domain, the vector field is
+    non-finite on the way or a crossing cannot be localized to guard_tol (a
+    NaN guard value, or no sign change on the interpolant), and
+    ImmediateReimpact for an accepted crossing before t_min.
     """
     states, times, status = _flow_batch(cb, np.asarray(x_plus, dtype=float)[None, :], options)
     if status[0] == _FAIL_INVALID:
@@ -261,8 +267,8 @@ class VectorizedReturnMap:
     options: IntegrationOptions
 
     def evaluate_batch(self, points: np.ndarray):
-        """Map an (n, reduced_dim) batch; returns (outputs, ok) with NaN rows
-        for failed evaluations."""
+        """Map an (n, reduced_dim) batch under the rule of `checked_rows`;
+        returns (outputs, ok, status) with each row's status code."""
         cb = self.callbacks
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = points.shape[0]
@@ -282,13 +288,16 @@ class VectorizedReturnMap:
             done_local = flow_status == _DONE
             if done_local.any():
                 out[np.flatnonzero(live)[done_local]] = cb.chart(hit[done_local])
-        return out, status == _DONE, status
+        out, ok = checked_rows(out, status == _DONE)
+        status[~ok & (status == _DONE)] = _FAIL_INVALID  # a non-finite chart image
+        return out, ok, status
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        out, ok, status = self.evaluate_batch(np.asarray(y, dtype=float)[None, :])
-        if not ok[0]:
-            _raise_failure(status[0])
-        return out[0]
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Map a batch; raises the classified failure of its first failed row."""
+        out, ok, status = self.evaluate_batch(points)
+        if not ok.all():
+            _raise_failure(status[np.argmin(ok)])
+        return out
 
     def batch(self, points: np.ndarray):
         out, ok, _ = self.evaluate_batch(points)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithm import CollapseError, RbfOptions, run, verify_k_step
+from .algorithm import CollapseError, RbfOptions, check_run_settings, run, verify_k_step
 from .ellipsoid import Ellipsoid
 from .hybrid import (
     IntegrationOptions,
@@ -47,11 +47,19 @@ class ConfigError(ValueError):
     """Configuration file failed validation."""
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+def _json(kinds, description):
+    """Conversion that accepts only values of `kinds`, never a bool, as given."""
 
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"expected {description}, got {value!r}")
+        return value
+
+    return check
+
+
+_INTEGER = _json(int, "an integer")
+_NUMBER = _json((int, float), "a number")
 
 # Top-level config keys: (conversion, default).  The nested blocks are
 # checked by the classes they configure.
@@ -59,16 +67,16 @@ _DEFAULTS = {
     "system": (str, None),
     "system_params": (dict, {}),
     "representation": (str, "ellipsoid"),
-    "N": (int, 1000),
-    "eps_target": (float, 0.03),
-    "beta": (float, 1e-9),
-    "max_iters": (int, 500),
-    "seed": (int, 0),
+    "N": (_INTEGER, 1000),
+    "eps_target": (_NUMBER, 0.03),
+    "beta": (_NUMBER, 1e-9),
+    "max_iters": (_INTEGER, 500),
+    "seed": (_INTEGER, 0),
     "init": (dict, {"mode": "contraction", "r": 5.0}),
     "integration": (dict, {}),
     "rbf": (dict, {}),
-    "k_max": (int, 20),
-    "output_dir": (_text, "invset-run"),
+    "k_max": (_INTEGER, 20),
+    "output_dir": (_json(str, "a string"), "invset-run"),
 }
 
 
@@ -119,10 +127,8 @@ def validate_config(raw) -> dict:
         for key, (convert, default) in _DEFAULTS.items()
     }
     _require(cfg["system"] in SYSTEM_NAMES, f"system must be one of {SYSTEM_NAMES}")
-    _require(cfg["representation"] in ("ellipsoid", "rbf"), "representation must be 'ellipsoid' or 'rbf'")
-    _require(0.0 < cfg["eps_target"] < 1.0, "eps_target must be in (0, 1)")
-    _require(0.0 < cfg["beta"] < 1.0, "beta must be in (0, 1)")
-    _require(cfg["max_iters"] >= 1, "max_iters must be >= 1")
+    settings = (cfg["eps_target"], cfg["beta"], cfg["max_iters"], cfg["representation"])
+    _checked("config", check_run_settings, *settings)
     _require(cfg["k_max"] >= 1, "k_max must be >= 1")
 
     options = _checked("config.integration", IntegrationOptions, **cfg["integration"])

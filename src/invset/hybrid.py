@@ -13,7 +13,6 @@ map's fixed point.
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -93,18 +92,23 @@ class IntegrationOptions:
 DEFAULT_INTEGRATION = IntegrationOptions()
 
 
-def _finite_rows(fn, points):
-    """Batch evaluation of `fn`; rows with a non-finite output fail."""
-    out = np.asarray(fn(points), dtype=float)
-    return out, np.all(np.isfinite(out), axis=1)
+def checked_rows(out, ok=True):
+    """The failure rule of every map: a row fails when its evaluation failed
+    (`ok` False) or an output is non-finite, and then reads all-NaN.  Returns
+    (outputs, ok), the outputs a copy (an identity map returns its input)."""
+    out = np.array(out, dtype=float)
+    ok = ok & np.isfinite(out).all(axis=1)
+    out[~ok] = np.nan
+    return out, ok
 
 
 @dataclass(frozen=True, eq=False)
 class PoincareMap:
     """Deterministic map on reduced guard coordinates.
 
-    `evaluator` maps one point; `batch_evaluator` maps an (n, dim) array in
-    one call and returns (outputs, ok) with NaN rows where evaluation failed.
+    `batch_evaluator` maps an (n, dim) stack to (outputs, ok) under the rule
+    of `checked_rows`; `evaluator` maps it to outputs or raises the
+    PoincareEvaluationError of its first failed row.
     """
 
     reduced_dim: int
@@ -112,16 +116,25 @@ class PoincareMap:
     batch_evaluator: Callable[[np.ndarray], tuple]
 
     def __call__(self, y) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(y, dtype=float)), dtype=float)
+        """Image of one point (dim,) or of each row of a stack (n, dim)."""
+        y = np.asarray(y, dtype=float)
+        out = self.evaluator(np.atleast_2d(y))
+        return out if y.ndim > 1 else out[0]
 
     @classmethod
     def from_function(cls, fn, reduced_dim: int) -> "PoincareMap":
-        """Map of `fn`, which maps one point or an (n, reduced_dim) array."""
-        return cls(reduced_dim=reduced_dim, evaluator=fn, batch_evaluator=partial(_finite_rows, fn))
+        """Map of `fn`, which maps an (n, reduced_dim) stack row by row."""
+        def evaluator(points):
+            out, ok = checked_rows(fn(points))
+            if not ok.all():
+                raise PoincareEvaluationError(f"non-finite map output in row {int(np.argmin(ok))}")
+            return out
+
+        return cls(reduced_dim, evaluator, lambda points: checked_rows(fn(points)))
 
 
 def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True) -> np.ndarray:
-    """Finite-difference Jacobian of the map at `y_star`.
+    """Finite-difference Jacobian at `y_star` from one `pmap` call on a stack of points.
 
     Column j is the forward difference along basis vector e_j.  With
     `check=True` a central-difference companion is formed and a
@@ -135,18 +148,13 @@ def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True)
         eps = 1e-6 * max(1.0, float(np.linalg.norm(y)))
     if eps <= 0:
         raise ValueError("eps must be positive")
-    base = np.asarray(pmap(y), dtype=float) if f0 is None else np.asarray(f0, dtype=float)
-    forward = np.empty((base.size, n))
-    central = np.empty_like(forward) if check else None
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = eps
-        f_plus = np.asarray(pmap(y + step), dtype=float)
-        forward[:, j] = (f_plus - base) / eps
-        if check:
-            f_minus = np.asarray(pmap(y - step), dtype=float)
-            central[:, j] = (f_plus - f_minus) / (2.0 * eps)
+    steps = eps * np.eye(n)
+    stack = [y + steps] + ([y - steps] if check else []) + ([y[None]] if f0 is None else [])
+    images = np.asarray(pmap(np.concatenate(stack)), dtype=float)
+    base = images[-1] if f0 is None else np.asarray(f0, dtype=float)
+    forward = ((images[:n] - base) / eps).T
     if check:
+        central = ((images[:n] - images[n : 2 * n]) / (2.0 * eps)).T
         scale = max(float(np.linalg.norm(central)), 1.0)
         if float(np.linalg.norm(forward - central)) > _FD_WARN_TOL * scale:
             warnings.warn(

@@ -48,11 +48,15 @@ def cec_map(x, p: CecParams) -> np.ndarray:
 
     Points with (x-c)^T M (x-c) < 1 contract toward c, points outside
     expand, and the unit-M-ball boundary is pointwise fixed.  Accepts a
-    single point (2,) or a batch (n, 2).
+    single point (2,) or a batch (n, 2).  The quadratic form is summed term
+    by term in row-major order, so each row's bits do not depend on the
+    batch (an `einsum` takes another path for one or two rows); an
+    overflowing row is left non-finite, and so fails.
     """
     d = np.asarray(x, dtype=float) - p.c
-    rho = np.einsum("...j,jk,...k->...", d, p.M, d)
-    return d * np.sqrt(rho)[..., None] + p.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = sum(d[..., j] * p.M[j, k] * d[..., k] for j in range(2) for k in range(2))
+        return d * np.sqrt(rho)[..., None] + p.c
 
 
 def cec_true_invariant_set(p: CecParams):

@@ -84,7 +84,8 @@ class TestPartition:
         E = cec_true_invariant_set(CecParams())
         pts = E.sample(1000, seed=3)
         outputs, ok = evaluate_map(cec_poincare_map(), pts)
-        batch = partition(E, pts, outputs, ok)
+        assert ok.all()
+        batch = partition(E, pts, outputs)
         assert batch.violations == 0
 
     @pytest.mark.parametrize("area_ratio", [1.5, 4.0, 10.0])
@@ -98,7 +99,8 @@ class TestPartition:
         assert candidate.volume() == pytest.approx(area_ratio * true_set.volume())
         pts = candidate.sample(2000, seed=13)
         outputs, ok = evaluate_map(cec_poincare_map(p), pts)
-        batch = partition(candidate, pts, outputs, ok)
+        assert ok.all()
+        batch = partition(candidate, pts, outputs)
         offsets = pts - p.c
         m_norm = np.sqrt(np.einsum("ij,jk,ik->i", offsets, p.M, offsets))
         assert 0 < batch.violations < len(pts)
@@ -190,7 +192,8 @@ class TestRun:
             run(IDENTITY_MAP, E0, 2, 0.03, 1e-9, 10, seed=0)
 
     @pytest.mark.parametrize(
-        "options", [{"gamma": 3.0}, {"m": 2.5}, {"m": 2.0}, {"m": "2"}, {"m": 0, "gamma": 0.5}]
+        "options",
+        [{"gamma": 3.0}, {"m": 2.5}, {"m": 2.0}, {"m": "2"}, {"m": 0, "gamma": 0.5}, {"m": True}],
     )
     def test_rbf_options_are_checked_on_construction(self, options):
         # before any scoring pass: gamma in (0, m) and an integer m >= 1
@@ -271,18 +274,29 @@ class TestHooks:
 
 class TestEvaluateMap:
     @pytest.mark.parametrize(
-        "make_map",
-        [lambda opts: compass_gait_poincare_map(None, opts)],
-        ids=["batch-callbacks"],
+        "make_map, center, scale, n",
+        [
+            (
+                lambda: compass_gait_poincare_map(
+                    None, IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_flow_time=3.0)
+                ),
+                COMPASS_GAIT_SECTION_SEED,
+                0.01,
+                24,
+            ),
+            (cec_poincare_map, CecParams().c, 1.0, 600),
+            (nec_poincare_map, np.zeros(2), 1.0, 600),
+        ],
+        ids=["batch-callbacks", "cec", "nec"],
     )
-    def test_row_partitions_are_bit_identical(self, make_map):
-        pmap = make_map(IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_flow_time=3.0))
+    def test_row_partitions_are_bit_identical(self, make_map, center, scale, n):
+        pmap = make_map()
         rng = np.random.default_rng(10)
-        points = COMPASS_GAIT_SECTION_SEED + 0.01 * rng.standard_normal((24, 3))
+        points = center + scale * rng.standard_normal((n, center.size))
         whole_out, whole_ok = evaluate_map(pmap, points)
         assert whole_ok.any()
-        for size in (1, 5, 24):
-            parts = [evaluate_map(pmap, points[i : i + size]) for i in range(0, 24, size)]
+        for size in (1, 2, 5, n):
+            parts = [evaluate_map(pmap, points[i : i + size]) for i in range(0, n, size)]
             assert np.array_equal(np.concatenate([ok for _, ok in parts]), whole_ok)
             out = np.concatenate([out for out, _ in parts])
             assert np.array_equal(out, whole_out, equal_nan=True)
@@ -357,7 +371,7 @@ class TestVerifyKStep:
         records = verify_k_step(pmap, invariant_set, n, k_max, 1e-6, seed=5)
         (points,) = drawn
         expected = [
-            partition(invariant_set, points, *evaluate_map(pmap, points, k)).violations
+            partition(invariant_set, points, evaluate_map(pmap, points, k)[0]).violations
             for k in range(1, k_max + 1)
         ]
         assert [rec.violations for rec in records] == expected

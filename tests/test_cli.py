@@ -106,12 +106,20 @@ class TestConfigValidation:
             {"N": 2},
             {"output_dir": 5},
             {"system": "nec", "system_params": {"r": math.nan}},
+            {"N": 1000.9},
+            {"seed": True},
+            {"max_iters": "7"},
+            {"k_max": 2.5},
+            {"eps_target": "0.05"},
+            {"representation": "voxel"},
+            {"max_iters": 0},
         ],
         ids=[
             "init.r", "init.r-inf", "init.fixed_point_seed",
             "rbf.m", "rbf.gamma", "rbf.gamma-above-m", "integration.rel_tol", "system_params-unknown", "system_params-shape",
             "init.ellipsoid-dim", "integration.rel_tol-nan", "N-below-dim-plus-one", "output_dir-not-a-string",
-            "system_params-nan",
+            "system_params-nan", "N-float", "seed-bool", "max_iters-string", "k_max-float",
+            "eps_target-string", "representation-unknown", "max_iters-zero",
         ],
     )
     def test_bad_nested_value_fails_before_any_output(self, tmp_path, capsys, overrides):
@@ -127,6 +135,23 @@ class TestConfigValidation:
         file = write_config(tmp_path, integration={"method": "dop853"})
         with pytest.raises(ConfigError, match="dop853"):
             load_config(file)
+
+
+def _kept(given, echoed) -> bool:
+    """Every value of `given` appears, with its type, in `echoed`."""
+    if isinstance(given, dict):
+        return isinstance(echoed, dict) and all(
+            key in echoed and _kept(value, echoed[key]) for key, value in given.items()
+        )
+    return type(given) is type(echoed) and given == echoed
+
+
+@pytest.mark.parametrize(
+    "config", sorted(Path(__file__).parent.parent.glob("configs/*.json")), ids=lambda p: p.stem
+)
+def test_shipped_config_loads_and_its_echo_keeps_its_values(config):
+    echo = json.loads(json.dumps(load_config(config)))
+    assert _kept(json.loads(config.read_text()), echo)
 
 
 def test_readme_config_block_lists_the_accepted_keys():

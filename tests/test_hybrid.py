@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from invset.hybrid import (
     GuardNotReached,
     ImmediateReimpact,
     IntegrationOptions,
+    InvalidSectionPoint,
     NoConvergence,
+    PoincareEvaluationError,
     PoincareMap,
     UnstableLinearization,
     contraction_init,
@@ -23,10 +26,17 @@ from invset.hybrid import (
     find_fixed_point,
     spectral_radius,
 )
+from invset.systems import COMPASS_GAIT_SECTION_SEED, cec_poincare_map
 
 
 def _identity(x):
     return x
+
+
+def _log_past_three(y):
+    """A closed-form map that is NaN below 3."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.log(y - 3.0)
 
 
 def _constant(value, x):
@@ -163,6 +173,41 @@ class TestFixedPoint:
         with pytest.raises(NoConvergence):
             find_fixed_point(pmap, np.array([1.0]), max_iters=30)
 
+    def test_non_finite_initial_guess_ends_after_one_call(self):
+        pmap = PoincareMap.from_function(_log_past_three, 1)
+        calls = []
+
+        def counting(y):
+            calls.append(np.shape(y))
+            return pmap(y)
+
+        with pytest.raises(NoConvergence, match="initial guess"):
+            find_fixed_point(counting, np.array([1.0]))
+        assert len(calls) == 1
+
+
+class TestMapContract:
+    def test_closed_form_call_raises_for_a_non_finite_output(self):
+        pmap = PoincareMap.from_function(_log_past_three, 1)
+        with pytest.raises(PoincareEvaluationError):
+            pmap(np.array([1.0]))
+        out, ok = pmap.batch_evaluator(np.array([[4.0], [1.0]]))
+        assert ok.tolist() == [True, False]
+        assert np.isnan(out[1]).all()
+        stack = np.array([[4.0], [5.0]])
+        assert np.array_equal(pmap(stack), _log_past_three(stack))
+        with pytest.raises(PoincareEvaluationError, match="row 1"):
+            pmap(np.array([[4.0], [1.0], [0.0]]))
+
+    def test_failed_rows_read_nan_in_a_copy(self):
+        # an identity map hands back its input, which must not be written
+        points = np.array([[1.0, 2.0], [np.inf, 0.0]])
+        out, ok = PoincareMap.from_function(_identity, 2).batch_evaluator(points)
+        assert ok.tolist() == [True, False]
+        assert np.isnan(out[1]).all()
+        assert np.array_equal(out[0], points[0])
+        assert points[1, 0] == np.inf
+
 
 class TestJacobian:
     def test_linear_map_recovered(self):
@@ -175,6 +220,32 @@ class TestJacobian:
         pmap = PoincareMap.from_function(lambda y: y**2, 1)
         J = fd_jacobian(pmap, np.array([2.0]), eps=1e-7)
         assert J[0, 0] == pytest.approx(4.0, abs=1e-5)
+
+    @pytest.mark.parametrize("check", [True, False], ids=["check", "no-check"])
+    @pytest.mark.parametrize("name", ["walker", "cec"])
+    def test_one_map_call_equals_the_column_loop(self, name, check, request):
+        if name == "walker":
+            pmap, y = request.getfixturevalue("compass_map_tight"), COMPASS_GAIT_SECTION_SEED
+        else:
+            pmap, y = cec_poincare_map(), np.array([1.3, 0.6])
+        calls = []
+
+        def counting(points):
+            calls.append(np.shape(points))
+            return pmap(points)
+
+        J = fd_jacobian(counting, y, check=check)
+        assert len(calls) == 1
+        # the column-by-column reference: one map call per perturbed point
+        eps = 1e-6 * max(1.0, float(np.linalg.norm(y)))
+        base = pmap(y)
+        reference = np.empty((base.size, y.size))
+        for j in range(y.size):
+            step = np.zeros(y.size)
+            step[j] = eps
+            reference[:, j] = (pmap(y + step) - base) / eps
+        assert np.array_equal(J, reference)
+        assert np.array_equal(fd_jacobian(pmap, y, f0=base, check=check), reference)
 
 
 class TestContractionInit:
@@ -347,4 +418,39 @@ def test_failed_localization_fails_only_its_row():
     assert np.array_equal(out[0], pmap(np.array([-1.0])))
     assert out[0][0] == -1.0
     with pytest.raises(GuardNotReached):
+        pmap(np.array([1.0]))
+
+
+def holeless_guard_system(**fields):
+    """`nan_guard_system` with a guard defined everywhere and `fields` replaced."""
+    return dataclasses.replace(nan_guard_system(), guard=lambda x: 1.0 - x[..., 0] ** 3, **fields)
+
+
+@pytest.mark.parametrize("hole_from", [0.5, -1.0], ids=["mid-flight", "from-the-start"])
+def test_non_finite_vector_field_fails_only_its_row(hole_from):
+    # for x1 > 0 the field is NaN once x0 > hole_from: no step can pass it
+    calls = []
+
+    def field(x):
+        calls.append(x.shape[0])
+        assert len(calls) < 5_000, "the engine keeps retrying a non-finite vector field"
+        hole = (x[..., 1] > 0) & (x[..., 0] > hole_from)
+        return np.where(hole[..., None], np.nan, np.zeros_like(x) + [1.0, 0.0])
+
+    pmap = vectorized_poincare_map(holeless_guard_system(vector_field=field))
+    out, ok = pmap.batch_evaluator(np.array([[-1.0], [1.0]]))
+    assert ok.tolist() == [True, False]
+    assert np.isnan(out[1]).all()
+    assert np.array_equal(out[0], pmap(np.array([-1.0])))
+    with pytest.raises(GuardNotReached, match="non-finite vector field"):
+        pmap(np.array([1.0]))
+
+
+def test_non_finite_chart_image_fails_its_row():
+    chart = lambda x: np.where(x[..., 1:] > 0, np.inf, x[..., 1:])
+    pmap = vectorized_poincare_map(holeless_guard_system(chart=chart))
+    out, ok = pmap.batch_evaluator(np.array([[-1.0], [1.0]]))
+    assert ok.tolist() == [True, False]
+    assert np.isnan(out[1]).all()
+    with pytest.raises(InvalidSectionPoint):
         pmap(np.array([1.0]))

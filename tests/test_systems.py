@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from invset.batchflow import integrate_to_guard
-from invset.hybrid import IntegrationOptions, InvalidSectionPoint
+from invset.hybrid import IntegrationOptions, InvalidSectionPoint, PoincareEvaluationError
 from invset.systems import (
     COMPASS_GAIT_SECTION_SEED,
+    SYSTEM_NAMES,
     CecParams,
     CompassGaitParams,
     NecParams,
@@ -209,8 +210,11 @@ class TestCompassGait:
         assert not compass_system.event_filter(x_pre)  # with the swing leg behind
         with pytest.raises(InvalidSectionPoint):
             compass_map(y)
-        _, ok = compass_map.batch_evaluator(np.stack([COMPASS_GAIT_SECTION_SEED, y]))
+        stack = np.stack([COMPASS_GAIT_SECTION_SEED, y])
+        _, ok = compass_map.batch_evaluator(stack)
         assert ok.tolist() == [True, False]
+        with pytest.raises(InvalidSectionPoint):
+            compass_map(stack)
 
     def test_period_consistent_under_tolerance_halving(self, compass_params, compass_system):
         y = COMPASS_GAIT_SECTION_SEED
@@ -240,6 +244,20 @@ class TestFixedPoints:
         pmap = nec_poincare_map()
         star = find_fixed_point(pmap, np.array([-0.5, 0.05]), tol=1e-12)
         assert np.allclose(star, [-0.6, 0.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_stack_call_equals_the_batch_evaluator(name):
+    bundle = build_system(name)
+    rng = np.random.default_rng(12)
+    stack = bundle.fixed_point_seed + 0.02 * rng.standard_normal((8, bundle.reduced_dim))
+    out, ok = bundle.poincare_map.batch_evaluator(stack)
+    assert ok.sum() >= 6  # the walker loses a row that escapes
+    assert np.array_equal(bundle.poincare_map(stack[ok]), out[ok])
+    assert np.array_equal(bundle.poincare_map(stack[3]), out[3])
+    if not ok.all():
+        with pytest.raises(PoincareEvaluationError):
+            bundle.poincare_map(stack)
 
 
 class TestRegistry:
