@@ -259,49 +259,30 @@ def integrate_to_guard(
     return states[0], float(times[0])
 
 
-@dataclass(frozen=True, eq=False)
-class VectorizedReturnMap:
-    """Return-map evaluator running on the batched stepper."""
+def _evaluate(cb: BatchHybridCallbacks, options: IntegrationOptions, points):
+    """Map an (n, reduced_dim) batch under the rule of `checked_rows`;
+    returns (outputs, ok, status) with each row's status code."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    out = np.full((n, cb.reduced_dim), np.nan)
+    status = np.full(n, _RUNNING, dtype=np.int8)
 
-    callbacks: BatchHybridCallbacks
-    options: IntegrationOptions
-
-    def evaluate_batch(self, points: np.ndarray):
-        """Map an (n, reduced_dim) batch under the rule of `checked_rows`;
-        returns (outputs, ok, status) with each row's status code."""
-        cb = self.callbacks
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = points.shape[0]
-        out = np.full((n, cb.reduced_dim), np.nan)
-        status = np.full(n, _RUNNING, dtype=np.int8)
-
-        x_pre = cb.chart_inverse(points)
-        invalid = cb.guard_velocity(x_pre) >= 0.0
-        if cb.event_filter is not None:
-            invalid |= ~cb.event_filter(x_pre)
-        status[invalid] = _FAIL_INVALID
-        live = ~invalid
-        if live.any():
-            x_plus = cb.reset(x_pre[live])
-            hit, _, flow_status = _flow_batch(cb, x_plus, self.options)
-            status[live] = flow_status
-            done_local = flow_status == _DONE
-            if done_local.any():
-                out[np.flatnonzero(live)[done_local]] = cb.chart(hit[done_local])
-        out, ok = checked_rows(out, status == _DONE)
-        status[~ok & (status == _DONE)] = _FAIL_INVALID  # a non-finite chart image
-        return out, ok, status
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Map a batch; raises the classified failure of its first failed row."""
-        out, ok, status = self.evaluate_batch(points)
-        if not ok.all():
-            _raise_failure(status[np.argmin(ok)])
-        return out
-
-    def batch(self, points: np.ndarray):
-        out, ok, _ = self.evaluate_batch(points)
-        return out, ok
+    x_pre = cb.chart_inverse(points)
+    invalid = cb.guard_velocity(x_pre) >= 0.0
+    if cb.event_filter is not None:
+        invalid |= ~cb.event_filter(x_pre)
+    status[invalid] = _FAIL_INVALID
+    live = ~invalid
+    if live.any():
+        x_plus = cb.reset(x_pre[live])
+        hit, _, flow_status = _flow_batch(cb, x_plus, options)
+        status[live] = flow_status
+        done_local = flow_status == _DONE
+        if done_local.any():
+            out[np.flatnonzero(live)[done_local]] = cb.chart(hit[done_local])
+    out, ok = checked_rows(out, status == _DONE)
+    status[~ok & (status == _DONE)] = _FAIL_INVALID  # a non-finite chart image
+    return out, ok, status
 
 
 def vectorized_poincare_map(
@@ -309,9 +290,15 @@ def vectorized_poincare_map(
 ) -> PoincareMap:
     """Return map of `callbacks`: reset, flow to the next accepted crossing,
     chart.  One point and a batch evaluate identically, row for row."""
-    evaluator = VectorizedReturnMap(callbacks, options)
-    return PoincareMap(
-        reduced_dim=callbacks.reduced_dim,
-        evaluator=evaluator,
-        batch_evaluator=evaluator.batch,
-    )
+
+    def evaluator(points):
+        out, ok, status = _evaluate(callbacks, options, points)
+        if not ok.all():
+            _raise_failure(status[np.argmin(ok)])
+        return out
+
+    def batch_evaluator(points):
+        out, ok, _ = _evaluate(callbacks, options, points)
+        return out, ok
+
+    return PoincareMap(callbacks.reduced_dim, evaluator, batch_evaluator)

@@ -61,8 +61,22 @@ def _json(kinds, description):
 _INTEGER = _json(int, "an integer")
 _NUMBER = _json((int, float), "a number")
 
-# Top-level config keys: (conversion, default).  The nested blocks are
-# checked by the classes they configure.
+
+def _numbers(value):
+    """`value` as given if it is a JSON number, never a bool or a string, or a
+    list or object of such."""
+    if isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _numbers(item)
+        return value
+    return _NUMBER(value)
+
+
+# The nested blocks whose every value is numeric, bar the named text keys.
+_NUMERIC_BLOCKS = {"system_params": (), "integration": ("method",), "rbf": (), "init": ("mode",)}
+
+# Top-level config keys: (conversion, default).  The values of the nested
+# blocks are checked by `_numbers`, then by the classes they configure.
 _DEFAULTS = {
     "system": (str, None),
     "system_params": (dict, {}),
@@ -130,6 +144,10 @@ def validate_config(raw) -> dict:
     settings = (cfg["eps_target"], cfg["beta"], cfg["max_iters"], cfg["representation"])
     _checked("config", check_run_settings, *settings)
     _require(cfg["k_max"] >= 1, "k_max must be >= 1")
+    for block, text_keys in _NUMERIC_BLOCKS.items():
+        for key, value in cfg[block].items():
+            if key not in text_keys:
+                _checked(f"config.{block}.{key}", _numbers, value)
 
     options = _checked("config.integration", IntegrationOptions, **cfg["integration"])
     cfg["integration"] = dataclasses.asdict(options)

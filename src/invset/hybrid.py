@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .ellipsoid import Ellipsoid
 
 _TIGHTEN_FACTOR = 1e-2  # tolerance scale of IntegrationOptions.tightened
 _FD_WARN_TOL = 1e-3  # forward/central Jacobian disagreement that warns
+# cond(V) of J = V diag(w) V^-1 beyond which Re(V^-H V^-1) keeps no digit
+_MAX_EIGENBASIS_COND = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 class PoincareEvaluationError(RuntimeError):
@@ -45,7 +46,8 @@ class NoConvergence(RuntimeError):
 
 
 class UnstableLinearization(ValueError):
-    """Spectral radius of the return-map Jacobian is not below one."""
+    """The return-map Jacobian has no contraction metric: its spectral radius
+    is not below one, or it is not diagonalizable to working precision."""
 
 
 class FiniteDifferenceWarning(RuntimeWarning):
@@ -249,15 +251,15 @@ def _contraction_holds(jac, metric, rate, slack: float = 1e-8) -> bool:
 def contraction_init(jacobian, r: float, center=None) -> Ellipsoid:
     """Conservatively large initial ellipsoid from the local linearization.
 
-    Builds a contraction metric P >= I with J^T P J <= (b^2 + slack) P where
-    b is the spectral radius of J, then returns the ellipsoid
+    The metric is the eigenbasis metric P = Re(V^-H V^-1) of
+    J = V diag(w) V^-1, scaled to smallest eigenvalue 1: a diagonalizable J
+    contracts at its spectral radius b in the norm |V^-1 x|, so P >= I and
+    J^T P J <= (b^2 + slack) P.  Returns the ellipsoid
     {x : (x - center)^T P (x - center) <= r^2}, i.e. the metric's unit ball
     inflated by the user factor r around the fixed point.
 
-    The metric comes from the discrete Lyapunov equation
-    J^T P J - (b + margin)^2 P = -I with margin = 0.01 (1 - b); the margin is
-    shrunk automatically (finally falling back to an eigenbasis metric) if
-    the rate certificate fails for strongly non-normal J.
+    Raises UnstableLinearization when b >= 1, or when cond(V) exceeds
+    1/sqrt(eps): J is then not diagonalizable to working precision.
     """
     jac = np.asarray(jacobian, dtype=float)
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
@@ -269,42 +271,22 @@ def contraction_init(jacobian, r: float, center=None) -> Ellipsoid:
         )
     if r <= 1.0:
         raise ValueError("scale factor r must exceed 1")
-    n = jac.shape[0]
-    identity = np.eye(n)
 
-    metric = None
-    margin = 0.01 * (1.0 - rate)
-    for _ in range(6):
-        inflated = rate + margin
-        try:
-            candidate = solve_discrete_lyapunov(jac.T / inflated, identity / inflated**2)
-        except np.linalg.LinAlgError:
-            margin *= 0.5
-            continue
-        candidate = 0.5 * (candidate + candidate.T)
-        eig_min = float(np.linalg.eigvalsh(candidate).min())
-        if eig_min <= 0.0:
-            margin *= 0.5
-            continue
-        candidate = candidate / eig_min  # smallest eigenvalue 1, so P >= I
-        if _contraction_holds(jac, candidate, rate):
-            metric = candidate
-            break
-        margin *= 0.1
-    if metric is None:
-        # Eigenbasis metric (V^-H V^-1): exact rate-b certificate whenever J
-        # is diagonalizable.
-        _, vecs = np.linalg.eig(jac)
-        vinv = np.linalg.inv(vecs)
-        candidate = np.real(vinv.conj().T @ vinv)
-        candidate = 0.5 * (candidate + candidate.T)
-        candidate = candidate / float(np.linalg.eigvalsh(candidate).min())
-        if not _contraction_holds(jac, candidate, rate):
-            raise UnstableLinearization(
-                "could not certify a contraction metric for the given Jacobian"
-            )
-        metric = candidate
+    _, vecs = np.linalg.eig(jac)
+    cond = float(np.linalg.cond(vecs))
+    if not cond <= _MAX_EIGENBASIS_COND:
+        raise UnstableLinearization(
+            f"Jacobian is not diagonalizable to working precision (cond(V) = {cond:.3e})"
+        )
+    vinv = np.linalg.inv(vecs)
+    metric = np.real(vinv.conj().T @ vinv)
+    metric = 0.5 * (metric + metric.T)
+    metric = metric / float(np.linalg.eigvalsh(metric).min())
+    if not _contraction_holds(jac, metric, rate):
+        raise UnstableLinearization(
+            "could not certify a contraction metric for the given Jacobian"
+        )
 
     shaping = _sqrtm_spd(metric) / float(r)
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    c = np.zeros(len(jac)) if center is None else np.asarray(center, dtype=float)
     return Ellipsoid(A=shaping, b=shaping @ c)

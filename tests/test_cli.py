@@ -113,6 +113,15 @@ class TestConfigValidation:
             {"eps_target": "0.05"},
             {"representation": "voxel"},
             {"max_iters": 0},
+            {"system": "compass_gait", "init": {"mode": "contraction", "r": "6"}},
+            {
+                "system": "compass_gait",
+                "init": {"mode": "contraction", "fixed_point_seed": ["0.2", "-1.8", "-1.5"]},
+            },
+            {"system_params": {"c": ["1", "2"]}},
+            {"integration": {"rel_tol": True}},
+            {"rbf": {"gamma": True}},
+            {"init": {"mode": "explicit", "ellipsoid": {**CEC_INIT["ellipsoid"], "dim": "2"}}},
         ],
         ids=[
             "init.r", "init.r-inf", "init.fixed_point_seed",
@@ -120,6 +129,8 @@ class TestConfigValidation:
             "init.ellipsoid-dim", "integration.rel_tol-nan", "N-below-dim-plus-one", "output_dir-not-a-string",
             "system_params-nan", "N-float", "seed-bool", "max_iters-string", "k_max-float",
             "eps_target-string", "representation-unknown", "max_iters-zero",
+            "init.r-string", "init.fixed_point_seed-strings", "system_params-strings",
+            "integration.rel_tol-bool", "rbf.gamma-bool", "init.ellipsoid-dim-string",
         ],
     )
     def test_bad_nested_value_fails_before_any_output(self, tmp_path, capsys, overrides):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,31 @@ class TestContractionInit:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableLinearization):
             contraction_init(1.1 * np.eye(2), r=2.0)
+
+    def test_normal_jacobian_gives_ball(self):
+        # a normal J contracts at its spectral radius in the Euclidean norm
+        turn = 0.7
+        Q = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        for J in (np.diag([0.9, 0.1]), Q @ np.diag([0.9, -0.3]) @ Q.T):
+            E = contraction_init(J, r=2.0)
+            assert np.allclose(E.A, np.eye(2) / 2.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, diagonal, superdiagonal",
+        [(2, 0.5, 1.0)]
+        + [
+            (n, diagonal, superdiagonal)
+            for n in (3, 4, 5, 6)
+            for diagonal, superdiagonal in ((0.5, 1.0), (0.5, 0.1), (0.8, 1.0), (0.3, 2.0))
+        ],
+    )
+    def test_defective_jacobian_rejected_without_warning(self, n, diagonal, superdiagonal):
+        # a Jordan block has no eigenbasis, so no eigenbasis metric
+        J = diagonal * np.eye(n) + superdiagonal * np.eye(n, k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableLinearization, match="not diagonalizable"):
+                contraction_init(J, r=2.0)
 
     def test_scale_must_exceed_one(self):
         with pytest.raises(ValueError):
