@@ -473,8 +473,8 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except UnstableLinearization as exc:
         print(
-            f"run failed: {exc}\nhint: the fixed point is not attracting; "
-            "check the fixed_point_seed or system parameters",
+            f"run failed: {exc}\nhint: the linearization at the fixed point must be "
+            "contracting and diagonalizable; check the fixed_point_seed or system parameters",
             file=sys.stderr,
         )
         return EXIT_ERROR

@@ -269,8 +269,8 @@ def contraction_init(jacobian, r: float, center=None) -> Ellipsoid:
         raise UnstableLinearization(
             f"spectral radius {rate:.6f} >= 1: the linearization is not contracting"
         )
-    if r <= 1.0:
-        raise ValueError("scale factor r must exceed 1")
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"scale factor r must be finite and exceed 1, got {r!r}")
 
     _, vecs = np.linalg.eig(jac)
     cond = float(np.linalg.cond(vecs))

@@ -61,10 +61,15 @@ class RBFSet:
         return self.centers.shape[1]
 
     def values(self, points) -> np.ndarray:
-        """Summed Gaussian field at each row of `points`."""
+        """Summed Gaussian field at each row of `points`.
+
+        Each squared distance is summed over the axes in axis order, and the
+        field over the bumps in bump order, one term at a time: fitted sets
+        and samples depend on this order to the last bit.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = ((pts[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-0.5 * d2 / self.widths**2).sum(axis=1)
+        _, d2 = _offsets(np.ascontiguousarray(pts.T), self.centers)
+        return np.exp(-0.5 * d2 / self.widths[:, None] ** 2).sum(axis=0)
 
     def contains_batch(self, points) -> np.ndarray:
         """Vectorized membership; NaN rows are outside, and so are rows so far
@@ -138,18 +143,36 @@ def _farthest_point_seeding(points: np.ndarray, m: int, gamma: float):
     return centers, widths
 
 
-def _penalty_value_grad(centers, widths, points, gamma, weight):
-    diff = points[None, :, :] - centers[:, None, :]  # (m, n, dim)
-    d2 = (diff**2).sum(axis=2)  # (m, n)
+def _offsets(points_t, centers):
+    """Offsets (m, dim, n) of the points, given as columns of the (dim, n)
+    `points_t`, from each center, and their squared lengths (m, n) summed one
+    axis at a time in axis order."""
+    diff = points_t[None, :, :] - centers[:, :, None]
+    d2 = diff[:, 0] ** 2
+    for k in range(1, diff.shape[1]):
+        d2 += diff[:, k] ** 2
+    return diff, d2
+
+
+def _penalty_value_grad(centers, widths, points_t, gamma, weight):
+    """Penalized objective and its gradients in the centers and the widths.
+
+    `points_t` holds the training points as the columns of a (dim, n) array.
+    Squared distances are summed over the axes in axis order, and the center
+    gradient over the points in point order, one term at a time; the fitted
+    set depends on this order to the last bit.  The center gradient therefore
+    takes the last entry of a cumulative sum: numpy's `sum` along a contiguous
+    axis adds pairwise.
+    """
+    diff, d2 = _offsets(points_t, centers)
     bumps = np.exp(-0.5 * d2 / widths[:, None] ** 2)
     field = bumps.sum(axis=0)  # (n,)
     hinge = np.maximum(0.0, gamma - field)
     value = float((widths**2).sum() + weight * (hinge**2).sum())
-    coeff = -2.0 * weight * hinge  # d(value)/d(field_j)
-    grad_centers = (coeff[None, :, None] * bumps[:, :, None] * diff).sum(axis=1) / widths[
-        :, None
-    ] ** 2
-    grad_widths = 2.0 * widths + (coeff[None, :] * bumps * d2).sum(axis=1) / widths**3
+    coeff_bumps = -2.0 * weight * hinge * bumps  # d(value)/d(field_j) times bump
+    pulls = np.cumsum(coeff_bumps[:, None, :] * diff, axis=2)[:, :, -1]
+    grad_centers = pulls / widths[:, None] ** 2
+    grad_widths = 2.0 * widths + (coeff_bumps * d2).sum(axis=1) / widths**3
     return value, grad_centers, grad_widths
 
 
@@ -237,10 +260,11 @@ def fit_rbf(
     from scipy.optimize import minimize
 
     split = centers.size
+    pts_t = np.ascontiguousarray(pts.T)
 
     def penalty(x, weight):
         value, g_c, g_w = _penalty_value_grad(
-            x[:split].reshape(m, -1), x[split:], pts, gamma, weight
+            x[:split].reshape(m, -1), x[split:], pts_t, gamma, weight
         )
         return value, np.concatenate([g_c.ravel(), g_w])
 

@@ -139,6 +139,22 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "config-echo.json").exists()
 
+    def test_non_diagonalizable_jacobian_hint(self, tmp_path, capsys, monkeypatch):
+        # the hint must cover a Jacobian without an eigenbasis, whose fixed
+        # point may well attract
+        def defective(*args, **kwargs):
+            raise invset.UnstableLinearization(
+                "Jacobian is not diagonalizable to working precision (cond(V) = 1.000e+08)"
+            )
+
+        monkeypatch.setattr("invset.cli.contraction_init", defective)
+        init = {"mode": "contraction", "r": 5.2}
+        file = write_config(tmp_path, system="compass_gait", init=init)
+        assert main(["run", str(file)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "not diagonalizable" in err and "diagonalizable;" in err
+        assert "not attracting" not in err
+
     def test_only_the_rk45_method_exists(self, tmp_path):
         # rk45, the batched engine's Dormand-Prince 5(4) pair, is the only method
         with pytest.raises(ValueError, match="dop853"):

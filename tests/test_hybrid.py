@@ -311,8 +311,9 @@ class TestContractionInit:
                 contraction_init(J, r=2.0)
 
     def test_scale_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            contraction_init(0.5 * np.eye(2), r=0.9)
+        for r in (0.9, 1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scale factor r"):
+                contraction_init(0.5 * np.eye(2), r=r)
 
 
 class TestPoincareStep:

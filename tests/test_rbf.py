@@ -8,6 +8,8 @@ from invset.rbf import (
     GAMMA_BALL,
     RBFSet,
     RbfSamplingError,
+    _offsets,
+    _penalty_value_grad,
     fit_rbf,
     sample_uniform_rbf_with_volume,
 )
@@ -172,3 +174,114 @@ class TestSampling:
         assert np.array_equal(back.centers, s.centers)
         assert np.array_equal(back.widths, s.widths)
         assert back.gamma == s.gamma
+
+
+def _cube_penalty_value_grad(centers, widths, points, gamma, weight):
+    # reference: the penalty summed over the (m, n, dim) offset cube
+    diff = points[None, :, :] - centers[:, None, :]  # (m, n, dim)
+    d2 = (diff**2).sum(axis=2)  # (m, n)
+    bumps = np.exp(-0.5 * d2 / widths[:, None] ** 2)
+    field = bumps.sum(axis=0)  # (n,)
+    hinge = np.maximum(0.0, gamma - field)
+    value = float((widths**2).sum() + weight * (hinge**2).sum())
+    coeff = -2.0 * weight * hinge  # d(value)/d(field_j)
+    grad_centers = (coeff[None, :, None] * bumps[:, :, None] * diff).sum(axis=1) / widths[
+        :, None
+    ] ** 2
+    grad_widths = 2.0 * widths + (coeff[None, :] * bumps * d2).sum(axis=1) / widths**3
+    return value, grad_centers, grad_widths
+
+
+def _cube_values(rbf_set, points):
+    # reference: the field summed over the (n, m, dim) offset cube
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d2 = ((pts[:, None, :] - rbf_set.centers[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-0.5 * d2 / rbf_set.widths**2).sum(axis=1)
+
+
+def _kernel_cases(seed, dims, ms, count):
+    """Seeded (centers, widths, points, gamma, weight) cases; the points
+    spread to about twice the widths, so some hinges are positive."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim, m = int(rng.choice(dims)), int(rng.choice(ms))
+        n = int(rng.choice([1, 2, 7, 8, 9, 127, 128, 129, int(rng.integers(1, 2001))]))
+        centers = rng.normal(0.0, 1.0, size=(m, dim))
+        widths = rng.uniform(0.3, 1.5, size=m)
+        points = centers[rng.integers(0, m, size=n)] + rng.normal(0.0, 2.0, size=(n, dim))
+        gamma = float(rng.uniform(0.1, 0.9))
+        weight = float(10.0 ** rng.uniform(1.0, 5.0))
+        yield centers, widths, points, gamma, weight
+
+
+class TestKernelSummationOrder:
+    """The per-axis kernels keep every sum of the (m, n, dim) cube's order."""
+
+    def test_penalty_is_bit_identical(self):
+        active = 0
+        for c, w, p, gamma, weight in _kernel_cases(0, range(2, 8), range(1, 8), 300):
+            expect = _cube_penalty_value_grad(c, w, p, gamma, weight)
+            got = _penalty_value_grad(c, w, np.ascontiguousarray(p.T), gamma, weight)
+            assert got[0] == expect[0]
+            assert np.array_equal(got[1], expect[1])
+            assert np.array_equal(got[2], expect[2])
+            active += bool(np.any(expect[1]))
+        assert active > 200
+
+    def test_values_are_bit_identical(self):
+        for c, w, p, gamma, _ in _kernel_cases(1, range(1, 8), range(1, 8), 300):
+            s = RBFSet(centers=c, widths=w, gamma=gamma)
+            assert np.array_equal(s.values(p), _cube_values(s, p))
+
+    def test_pairwise_sums_agree_to_rounding(self):
+        # the cube reference sums one axis, 8 or more axes, and a field of 8 or
+        # more bumps pairwise; summed in order here, only the last bits may differ
+        for c, w, p, gamma, weight in _kernel_cases(2, [1, 8, 9], range(1, 8), 100):
+            expect = _cube_penalty_value_grad(c, w, p, gamma, weight)
+            got = _penalty_value_grad(c, w, np.ascontiguousarray(p.T), gamma, weight)
+            assert got[0] == pytest.approx(expect[0], rel=1e-12)
+            scale = np.abs(expect[1]).max()
+            assert np.allclose(got[1], expect[1], rtol=1e-12, atol=1e-12 * scale)
+            assert np.allclose(got[2], expect[2], rtol=1e-12)
+        for c, w, p, gamma, _ in _kernel_cases(3, range(1, 10), range(1, 12), 150):
+            s = RBFSet(centers=c, widths=w, gamma=gamma)
+            assert np.allclose(s.values(p), _cube_values(s, p), rtol=1e-12, atol=0.0)
+
+    def test_pairwise_center_sum_would_be_caught(self):
+        # numpy's pairwise `sum` over the point axis changes the last bits,
+        # so the exact check above rejects it
+        mismatches = 0
+        for c, w, p, gamma, weight in _kernel_cases(0, range(2, 8), range(1, 8), 50):
+            diff, d2 = _offsets(np.ascontiguousarray(p.T), c)
+            bumps = np.exp(-0.5 * d2 / w[:, None] ** 2)
+            coeff_bumps = -2.0 * weight * np.maximum(0.0, gamma - bumps.sum(axis=0)) * bumps
+            pairwise = (coeff_bumps[:, None, :] * diff).sum(axis=-1) / w[:, None] ** 2
+            expect = _cube_penalty_value_grad(c, w, p, gamma, weight)[1]
+            mismatches += not np.array_equal(pairwise, expect)
+        assert mismatches > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_penalty_gradient_matches_central_differences(dim, m):
+    rng = np.random.default_rng(10 * dim + m)
+    centers = rng.normal(0.0, 0.5, size=(m, dim))
+    widths = rng.uniform(0.4, 1.0, size=m)
+    points = rng.normal(0.0, 1.0, size=(40, dim))
+    points_t = np.ascontiguousarray(points.T)
+    gamma, weight = 0.5, 100.0
+    x = np.concatenate([centers.ravel(), widths])
+
+    def value(x):
+        centers, widths = x[: m * dim].reshape(m, dim), x[m * dim :]
+        return _penalty_value_grad(centers, widths, points_t, gamma, weight)[0]
+
+    _, grad_centers, grad_widths = _penalty_value_grad(centers, widths, points_t, gamma, weight)
+    field = RBFSet(centers=centers, widths=widths, gamma=gamma).values(points)
+    assert 0 < np.count_nonzero(field < gamma) < len(points)  # the hinge is active on some points
+    h = 1e-6
+    central = np.array(
+        [(value(x + h * e) - value(x - h * e)) / (2.0 * h) for e in np.eye(x.size)]
+    )
+    grad = np.concatenate([grad_centers.ravel(), grad_widths])
+    assert np.allclose(central, grad, rtol=1e-5, atol=1e-5 * np.abs(grad).max())
