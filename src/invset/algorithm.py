@@ -124,8 +124,13 @@ class RbfOptions:
             raise ValueError(f"gamma must lie in (0, m), got {self.gamma!r}")
 
 
-def check_run_settings(eps_target, beta, max_iters, representation):
-    """Raise ValueError for a setting of `run` outside its range."""
+def check_run_settings(n_samples, dim, eps_target, beta, max_iters, representation):
+    """Raise ValueError for a setting of `run` outside its range; `dim` is
+    the map's reduced dimension."""
+    if n_samples < dim + 1:
+        raise ValueError(
+            f"need at least dim + 1 = {dim + 1} samples per iteration, got {n_samples}"
+        )
     if not 0.0 < eps_target < 1.0:
         raise ValueError("eps_target must be in (0, 1)")
     if not 0.0 < beta < 1.0:
@@ -196,9 +201,7 @@ def run(
     which means the candidate lost the invariant set (enlarge the initial
     set, e.g. with a bigger contraction scale r).
     """
-    check_run_settings(eps_target, beta, max_iters, representation)
-    if n_samples < pmap.reduced_dim + 1:
-        raise ValueError("need at least dim + 1 samples per iteration")
+    check_run_settings(n_samples, pmap.reduced_dim, eps_target, beta, max_iters, representation)
     options = rbf_options or RbfOptions()
     candidate = initial_set
     records = []

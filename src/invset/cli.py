@@ -29,11 +29,12 @@ from .hybrid import (
     IntegrationOptions,
     NoConvergence,
     UnstableLinearization,
+    check_contraction_scale,
     contraction_init,
     fd_jacobian,
     find_fixed_point,
 )
-from .rbf import RBFSet
+from .rbf import RBFSet, RbfSamplingError
 from .systems import SYSTEM_NAMES, build_system
 
 OUTPUT_ROOT_ENV = "INVSET_OUTPUT_ROOT"
@@ -141,8 +142,6 @@ def validate_config(raw) -> dict:
         for key, (convert, default) in _DEFAULTS.items()
     }
     _require(cfg["system"] in SYSTEM_NAMES, f"system must be one of {SYSTEM_NAMES}")
-    settings = (cfg["eps_target"], cfg["beta"], cfg["max_iters"], cfg["representation"])
-    _checked("config", check_run_settings, *settings)
     _require(cfg["k_max"] >= 1, "k_max must be >= 1")
     for block, text_keys in _NUMERIC_BLOCKS.items():
         for key, value in cfg[block].items():
@@ -156,7 +155,8 @@ def validate_config(raw) -> dict:
         "config.system_params", build_system, cfg["system"], cfg["system_params"], options
     )
     dim = bundle.reduced_dim
-    _require(cfg["N"] >= dim + 1, f"N must be >= dim + 1 = {dim + 1} for {cfg['system']}")
+    settings = (cfg["eps_target"], cfg["beta"], cfg["max_iters"], cfg["representation"])
+    _checked("config", check_run_settings, cfg["N"], dim, *settings)
 
     init = cfg["init"]
     mode = init.get("mode")
@@ -168,8 +168,7 @@ def validate_config(raw) -> dict:
     elif mode == "contraction":
         _reject_unknown(init, {"mode", "r", "fixed_point_seed"}, "config.init")
         init.setdefault("r", 5.0)
-        r = _checked("config.init.r", float, init["r"])
-        _require(1.0 < r < np.inf, "contraction init requires a finite r > 1")
+        _checked("config.init.r", check_contraction_scale, init["r"])
         seed_point = _checked(
             "config.init.fixed_point_seed",
             np.asarray,
@@ -376,7 +375,7 @@ def cmd_study(config_path, runs: int) -> int:
         try:
             result = _run_config(cfg, bundle.poincare_map, initial, seed, store_samples=False)
             outcomes.append((seed, result))
-        except CollapseError as exc:
+        except (CollapseError, RbfSamplingError) as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
             print(f"seed {seed}: failed ({type(exc).__name__})", file=sys.stderr)
     if not outcomes:
@@ -468,7 +467,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except CollapseError as exc:
+    except (CollapseError, RbfSamplingError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except UnstableLinearization as exc:

@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial import ConvexHull, QhullError
 
 from .rng import rewind, sample_stream
 
@@ -148,28 +147,29 @@ class Ellipsoid:
         return cls(A=A, b=A @ center)
 
 
-def _hull_vertices(points: np.ndarray) -> np.ndarray:
-    """Reduce to convex-hull vertices; the cover depends only on them."""
+def _core_set(points: np.ndarray) -> np.ndarray:
+    """Kumar-Yildirim core set mask: the argmax and argmin along e_1, then
+    along each direction orthogonal to the chords chosen so far (<= 2d)."""
     n, d = points.shape
-    if d == 1:
-        return np.array([[points[:, 0].min()], [points[:, 0].max()]])
-    if n <= max(4 * (d + 1), 16):
-        return points
-    try:
-        hull = ConvexHull(points)
-    except QhullError:
-        return points  # flat cloud; handled by regularization downstream
-    return points[hull.vertices]
+    chords = np.zeros((d, d))
+    active = np.zeros(n, dtype=bool)
+    for i in range(d):
+        proj = points @ np.linalg.qr(chords.T, mode="complete")[0][:, i]
+        hi, lo = int(np.argmax(proj)), int(np.argmin(proj))
+        chords[i] = points[hi] - points[lo]
+        active[[hi, lo]] = True
+    return active
 
 
 def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     """Active-set Newton ascent on the dual of the minimum-volume cover.
 
     Maximizes log det V(u), V(u) = sum_j u_j q_j q_j^T over the lifted points
-    q_j = (p_j, 1), on the simplex u >= 0, sum u = 1.  Each step solves the
-    Newton KKT system on the active set S.  A ratio test keeps u >= 0, and the
-    point that blocks the step leaves S; outside the quadratic region the
-    step is damped by 1 / (1 + lambda), lambda^2 being the Newton decrement.
+    q_j = (p_j, 1), on the simplex u >= 0, sum u = 1, from uniform weight on
+    the core set (`_core_set`).  Each step solves the Newton KKT system on
+    the active set S.  A ratio test keeps u >= 0, and the point that blocks
+    the step leaves S; outside the quadratic region the step is damped by
+    1 / (1 + lambda), lambda^2 being the Newton decrement.
     Once the step is negligible, the point of largest leverage
     kappa_j = q_j^T V^{-1} q_j joins S, unless max kappa <= (1 + tol) m,
     which bounds the duality gap and stops.  Returns the weights, a
@@ -192,7 +192,8 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     rows, cols = np.triu_indices(m)
     scale = np.where(rows == cols, 1.0, math.sqrt(2.0))
     svec_eye = (rows == cols).astype(float)  # psi @ svec_eye = kappa_S
-    active = np.ones(n, dtype=bool)
+    active = _core_set(points)
+    u = active / active.sum()
     for step in range(max_iters + 1):
         L = np.linalg.cholesky(q.T @ (q * u[:, None]))
         z = q @ np.linalg.inv(L).T
@@ -237,15 +238,15 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     """Minimum-volume ellipsoid enclosing `points`.
 
     Every input satisfies ||A p - b|| <= 1 exactly (the raw iterate is
-    rescaled by the worst residual).  The dual weights on the convex-hull
-    vertices are solved by an active-set Newton method that stops on the
-    duality gap: every lifted leverage is at most (1 + tol)(d + 1), which
-    puts the volume within a factor (1 + tol (d + 1) / d)^(d / 2), about
-    1 + tol (d + 1) / 2, of optimal.  `max_iters` caps
-    the Newton steps; a solve that hits it before the gap test passes is
-    reported via MveeConvergenceWarning, with the gap reached.  Rank-deficient
-    clouds are regularized with a ridge proportional to the trace scale and
-    reported via DegenerateCloudWarning.
+    rescaled by the worst residual).  The dual weights are solved by an
+    active-set Newton method, started from a core set of at most 2d extreme
+    points (Kumar & Yildirim 2005), that stops on the duality gap: every
+    lifted leverage is at most (1 + tol)(d + 1), which puts the volume within
+    a factor (1 + tol (d + 1) / d)^(d / 2), about 1 + tol (d + 1) / 2, of
+    optimal.  `max_iters` caps the Newton steps; a solve that hits it before
+    the gap test passes is reported via MveeConvergenceWarning, with the gap
+    reached.  Rank-deficient clouds are regularized with a ridge proportional
+    to the trace scale and reported via DegenerateCloudWarning.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -256,10 +257,9 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    work = _hull_vertices(pts)
-    u, degenerate, gap = _newton_weights(work, tol, max_iters)
-    center = u @ work
-    cov = work.T @ (work * u[:, None]) - np.outer(center, center)
+    u, degenerate, gap = _newton_weights(pts, tol, max_iters)
+    center = u @ pts
+    cov = pts.T @ (pts * u[:, None]) - np.outer(center, center)
     cov = 0.5 * (cov + cov.T)
 
     spread = float(((pts - pts.mean(axis=0)) ** 2).sum(axis=1).max())

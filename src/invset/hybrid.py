@@ -248,6 +248,12 @@ def _contraction_holds(jac, metric, rate, slack: float = 1e-8) -> bool:
     return float(np.linalg.eigvalsh(gap).min()) >= floor
 
 
+def check_contraction_scale(r):
+    """Raise ValueError unless the scale factor `r` is finite and exceeds 1."""
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"scale factor r must be finite and exceed 1, got {r!r}")
+
+
 def contraction_init(jacobian, r: float, center=None) -> Ellipsoid:
     """Conservatively large initial ellipsoid from the local linearization.
 
@@ -269,8 +275,7 @@ def contraction_init(jacobian, r: float, center=None) -> Ellipsoid:
         raise UnstableLinearization(
             f"spectral radius {rate:.6f} >= 1: the linearization is not contracting"
         )
-    if not 1.0 < r < math.inf:
-        raise ValueError(f"scale factor r must be finite and exceed 1, got {r!r}")
+    check_contraction_scale(r)
 
     _, vecs = np.linalg.eig(jac)
     cond = float(np.linalg.cond(vecs))

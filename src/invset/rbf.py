@@ -42,6 +42,8 @@ class RBFSet:
         widths = np.asarray(self.widths, dtype=float).reshape(-1)
         if centers.shape[0] != widths.size:
             raise ValueError("one width per center required")
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(widths))):
+            raise ValueError("non-finite entries in RBF parameters")
         if np.any(widths <= 0):
             raise ValueError("widths must be positive")
         if not 0.0 < self.gamma < centers.shape[0]:

@@ -25,6 +25,18 @@ CEC_INIT = {
 }
 
 
+# Validates, then the first refit leaves a set that fills about 5e-5 of its
+# sampling box, below the rejection sampler's floor.
+THIN_RBF = {
+    "system": "nec",
+    "representation": "rbf",
+    "rbf": {"m": 2, "gamma": 1.999},
+    "N": 200,
+    "max_iters": 5,
+    "init": {"mode": "explicit", "ellipsoid": {"dim": 2, "A": [0.316, 0, 0, 0.316], "b": [0, 0]}},
+}
+
+
 def write_config(path: Path, **overrides) -> Path:
     cfg = {
         "system": "cec",
@@ -237,6 +249,11 @@ def test_import_leaves_scipy_optimize_out():
     assert _modules_after_import("m == 'scipy.optimize'") == "[]"
 
 
+def test_import_leaves_scipy_spatial_out():
+    # mvee starts from a core set of extreme points, with no convex-hull pass
+    assert _modules_after_import("m == 'scipy.spatial'") == "[]"
+
+
 class TestRunCommand:
     def test_cec_run_outputs(self, tmp_path):
         file = write_config(tmp_path)
@@ -283,6 +300,16 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "result.json").read_text())
         E = Ellipsoid.from_dict(payload["invariant_set"])
         assert E.volume() > 0
+
+    def test_rbf_sampling_failure_is_reported_without_traceback(self, tmp_path):
+        file = write_config(tmp_path, **THIN_RBF)
+        done = subprocess.run(
+            [sys.executable, "-m", "invset.cli", "run", str(file)],
+            capture_output=True, text=True, timeout=120, env=_subprocess_env(),
+        )
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("run failed: acceptance rate")
+        assert "Traceback" not in done.stderr
 
 
 class TestDeterminism:
@@ -343,8 +370,20 @@ class TestVerifyCommand:
             lambda s: s.update(type="rbf", centers=[[1.0, 1.0]], widths=[1.0], gamma=1.5),
             lambda s: s.update(type="rbf", centers=[[1.0, 1.0]], gamma=0.5),
             lambda s: s.update(dim=1, A=[1.0], b=[0.0]),
+            lambda s: s.update(
+                type="rbf", centers=[[0.0, 0.0], [0.5, 0.0]], widths=[math.nan, 1.0], gamma=0.5
+            ),
+            lambda s: s.update(
+                type="rbf", centers=[[0.0, 0.0], [0.5, 0.0]], widths=[math.inf, 1.0], gamma=0.5
+            ),
+            lambda s: s.update(
+                type="rbf", centers=[[math.nan, 0.0], [0.5, 0.0]], widths=[1.0, 1.0], gamma=0.5
+            ),
         ],
-        ids=["no-A", "A-of-3", "rbf-gamma-above-m", "rbf-no-widths", "dim-1"],
+        ids=[
+            "no-A", "A-of-3", "rbf-gamma-above-m", "rbf-no-widths", "dim-1",
+            "rbf-nan-width", "rbf-inf-width", "rbf-nan-center",
+        ],
     )
     def test_malformed_invariant_set_is_a_config_error(self, tmp_path, capsys, edit):
         file = write_config(tmp_path)
@@ -386,6 +425,13 @@ class TestStudyCommand:
         assert len(runs) == 4
         summary = (tmp_path / "study" / "study_summary.csv").read_text().splitlines()
         assert summary[0] == "iter,accuracy_mean,accuracy_std,volume_mean,volume_std"
+
+    def test_rbf_sampling_failure_is_counted_per_seed(self, tmp_path, capsys):
+        file = write_config(tmp_path, **THIN_RBF)
+        assert main(["study", str(file), "--runs", "2"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "seed 0: failed (RbfSamplingError)" in err
+        assert "seed 1: failed (RbfSamplingError)" in err
 
     def test_single_run_rejected(self, tmp_path, capsys):
         file = write_config(tmp_path)

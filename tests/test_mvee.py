@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invset.ellipsoid import DegenerateCloudWarning, Ellipsoid, mvee
+from invset.ellipsoid import DegenerateCloudWarning, Ellipsoid, _core_set, mvee
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -59,6 +59,20 @@ class TestKnownGeometry:
         E = mvee(tet)
         assert np.allclose(E.A, np.eye(3), atol=1e-6)
         assert E.volume() == pytest.approx(4 * math.pi / 3, abs=1e-4)
+
+    def test_entry_rule_grows_the_core_set_to_the_hexagon_circle(self):
+        angles = np.deg2rad(np.arange(0.0, 360.0, 60.0))
+        hexagon = np.column_stack([np.cos(angles), np.sin(angles)])
+        interior = 0.5 * np.random.default_rng(4).uniform(-1.0, 1.0, (30, 2))
+        pts = np.vstack([hexagon, interior])
+        core = pts[_core_set(pts)]
+        # the core set alone has a strictly smaller cover than the true one,
+        # so the points the entry rule lets in are what make the cover right
+        assert mvee(core).volume() < 0.9 * math.pi
+        E = mvee(pts)
+        assert np.allclose(E.A, np.eye(2), atol=1e-6)
+        assert np.linalg.norm(E.center) < 1e-7
+        assert E.volume() == pytest.approx(math.pi, abs=1e-4)
 
 
 class TestContracts:

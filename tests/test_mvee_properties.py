@@ -41,7 +41,7 @@ def residuals(E, points):
 def mapped_clouds(draw):
     """A seeded Gaussian cloud and a linear map with condition number <= e^2."""
     seed = draw(st.integers(0, 2**32 - 1))
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([2, 3, 6]))
     n = draw(st.integers(d + 2, 300))
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))

@@ -51,6 +51,13 @@ class TestMembership:
             RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=1.5)  # gamma >= m
         with pytest.raises(ValueError):
             RBFSet(centers=[[0.0, 0.0], [1.0, 1.0]], widths=[1.0], gamma=0.5)
+        for centers, widths in [
+            ([[math.nan, 0.0], [1.0, 0.0]], [1.0, 1.0]),
+            ([[0.0, 0.0], [1.0, 0.0]], [math.nan, 1.0]),
+            ([[0.0, 0.0], [1.0, 0.0]], [math.inf, 1.0]),
+        ]:
+            with pytest.raises(ValueError, match="non-finite"):
+                RBFSet(centers=centers, widths=widths, gamma=0.5)
 
 
 class TestFit:
