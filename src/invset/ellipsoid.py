@@ -196,11 +196,10 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     u = active / active.sum()
     for step in range(max_iters + 1):
         L = np.linalg.cholesky(q.T @ (q * u[:, None]))
-        z = q @ np.linalg.inv(L).T
-        kappa = np.einsum("ij,ij->i", z, z)
-        gap = kappa.max() / m - 1.0
+        inv_lt = np.linalg.inv(L).T
         S = np.flatnonzero(active)
-        psi = z[S][:, rows] * z[S][:, cols] * scale
+        z = q[S] @ inv_lt
+        psi = z[:, rows] * z[:, cols] * scale
         U, sig, Vt = np.linalg.svd(psi, full_matrices=False)
         keep = sig > max(psi.shape) * np.finfo(float).eps * sig[0]
         # Newton model: minimize |psi^T du - svec(I)| subject to 1^T du = 0,
@@ -212,16 +211,21 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
         du = U[:, keep] @ (c / sig[keep])
         lam2 = float(c @ c)
         negligible = lam2 <= tol * tol
-        if (negligible and gap <= tol) or step == max_iters:
-            break
-        j = int(np.argmax(kappa))
-        if negligible and not active[j]:
-            # j enters S with the exact line-search step towards it
-            lam = (kappa[j] - m) / (m * (kappa[j] - 1.0))
-            u *= 1.0 - lam
-            u[j] += lam
-            active[j] = True
-            continue
+        if negligible or step == max_iters:
+            # the leverage of every point is read only here
+            z = q @ inv_lt
+            kappa = np.einsum("ij,ij->i", z, z)
+            gap = kappa.max() / m - 1.0
+            if gap <= tol or step == max_iters:
+                break
+            j = int(np.argmax(kappa))
+            if not active[j]:
+                # j enters S with the exact line-search step towards it
+                lam = (kappa[j] - m) / (m * (kappa[j] - 1.0))
+                u *= 1.0 - lam
+                u[j] += lam
+                active[j] = True
+                continue
         t = 1.0 if lam2 <= 0.25 else 1.0 / (1.0 + math.sqrt(lam2))
         ratio = np.where(du < 0.0, u[S] / np.where(du < 0.0, -du, 1.0), np.inf)
         blocker = int(np.argmin(ratio))
