@@ -288,7 +288,10 @@ def _start(config_path):
     build its system: (config, output directory, system bundle)."""
     cfg = load_config(config_path)
     outdir = _resolve_output_dir(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {outdir}: {exc}") from exc
     _write_json(outdir / "config-echo.json", cfg)
     return cfg, outdir, _build_from_config(cfg)
 

@@ -134,7 +134,9 @@ class Ellipsoid:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Ellipsoid":
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise TypeError(f"dim must be an integer, got {dim!r}")
         A = np.asarray(data["A"], dtype=float).reshape(dim, dim)
         b = np.asarray(data["b"], dtype=float)
         return cls(A=A, b=b)
@@ -172,9 +174,8 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     1 / (1 + lambda), lambda^2 being the Newton decrement.
     Once the step is negligible, the point of largest leverage
     kappa_j = q_j^T V^{-1} q_j joins S, unless max kappa <= (1 + tol) m,
-    which bounds the duality gap and stops.  Returns the weights, a
-    degeneracy flag (rank-deficient lifted scatter) and the gap
-    max kappa / m - 1 reached.
+    which bounds the duality gap and stops.  Returns the weights and the gap
+    max kappa / m - 1 reached, for a cloud `mvee` found full-dimensional.
 
     The KKT system is never formed.  With V = L L^T and z_j = L^{-1} q_j, the
     Hessian on S is -(G o G) = -psi psi^T, G = Z_S Z_S^T, where row j of psi
@@ -185,10 +186,6 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     n, d = points.shape
     q = np.hstack([points, np.ones((n, 1))])
     m = d + 1
-    u = np.full(n, 1.0 / n)
-    w = np.linalg.eigvalsh(q.T @ (q * u[:, None]))
-    if not w[0] > 1e-12 * w[-1]:
-        return u, True, np.inf
     rows, cols = np.triu_indices(m)
     scale = np.where(rows == cols, 1.0, math.sqrt(2.0))
     svec_eye = (rows == cols).astype(float)  # psi @ svec_eye = kappa_S
@@ -235,7 +232,7 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
             active[S[blocker]] = False
         u = np.maximum(u, 0.0)
         u /= u.sum()
-    return u, False, gap
+    return u, gap
 
 
 def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
@@ -249,8 +246,10 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     a factor (1 + tol (d + 1) / d)^(d / 2), about 1 + tol (d + 1) / 2, of
     optimal.  `max_iters` caps the Newton steps; a solve that hits it before
     the gap test passes is reported via MveeConvergenceWarning, with the gap
-    reached.  Rank-deficient clouds are regularized with a ridge proportional
-    to the trace scale and reported via DegenerateCloudWarning.
+    reached.  The one degeneracy rule, decided before the solve so that a
+    translation cannot move it: with w the eigenvalues of the scatter about
+    the mean, a cloud with min w <= ridge = max(1e-9 mean(w), 1e-18) gets
+    the scatter plus ridge I instead and a DegenerateCloudWarning.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -261,23 +260,21 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    u, degenerate, gap = _newton_weights(pts, tol, max_iters)
-    center = u @ pts
-    cov = pts.T @ (pts * u[:, None]) - np.outer(center, center)
-    cov = 0.5 * (cov + cov.T)
-
-    spread = float(((pts - pts.mean(axis=0)) ** 2).sum(axis=1).max())
-    w, vecs = np.linalg.eigh(cov)
-    ridge = max(1e-9 * np.trace(cov) / d, 1e-12 * spread, 1e-18)
-    if w.min() <= ridge or not np.all(np.isfinite(w)):
-        # rank-deficient or numerically wrecked cloud: fall back to the
-        # ridged uniform scatter; the final rescale restores containment
-        degenerate = True
-        center = pts.mean(axis=0)
-        cov = (pts - center).T @ (pts - center) / n + ridge * np.eye(d)
-        cov = 0.5 * (cov + cov.T)
-        w, vecs = np.linalg.eigh(cov)
-        w = np.maximum(w, ridge)
+    origin = pts.mean(axis=0)
+    centered = pts - origin
+    w, vecs = np.linalg.eigh(centered.T @ centered / n)
+    ridge = max(1e-9 * w.sum() / d, 1e-18)
+    degenerate = not w[0] > ridge  # an overflowed (NaN) scatter too
+    if degenerate:
+        # the ridged uniform scatter; the final rescale restores containment
+        center = origin
+        w = np.maximum(w, 0.0) + ridge
+    else:
+        u, gap = _newton_weights(centered, tol, max_iters)
+        mean = u @ centered
+        cov = centered.T @ (centered * u[:, None]) - np.outer(mean, mean)
+        w, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        center = origin + mean
     # A = ((d * cov)^{-1})^{1/2} so that (x-c)^T cov^{-1} (x-c) <= d on inputs.
     A = (vecs / np.sqrt(d * w)) @ vecs.T
     A = 0.5 * (A + A.T)

@@ -79,8 +79,9 @@ class IntegrationOptions:
             raise ValueError(
                 "rel_tol, abs_tol, guard_tol and max_flow_time must be finite and positive"
             )
-        if not 0.0 <= self.t_min < math.inf:
-            raise ValueError("t_min must be finite and >= 0")
+        if not 0.0 <= self.t_min < self.max_flow_time:
+            # a crossing is accepted only in [t_min, max_flow_time]
+            raise ValueError("t_min must be >= 0 and below max_flow_time")
 
     def tightened(self) -> "IntegrationOptions":
         """Stricter copy used for fixed-point and Jacobian computations."""

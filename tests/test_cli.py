@@ -134,6 +134,8 @@ class TestConfigValidation:
             {"integration": {"rel_tol": True}},
             {"rbf": {"gamma": True}},
             {"init": {"mode": "explicit", "ellipsoid": {**CEC_INIT["ellipsoid"], "dim": "2"}}},
+            {"init": {"mode": "explicit", "ellipsoid": {**CEC_INIT["ellipsoid"], "dim": 2.9}}},
+            {"integration": {"t_min": 6.0, "max_flow_time": 5.0}},
         ],
         ids=[
             "init.r", "init.r-inf", "init.fixed_point_seed",
@@ -143,6 +145,7 @@ class TestConfigValidation:
             "eps_target-string", "representation-unknown", "max_iters-zero",
             "init.r-string", "init.fixed_point_seed-strings", "system_params-strings",
             "integration.rel_tol-bool", "rbf.gamma-bool", "init.ellipsoid-dim-string",
+            "init.ellipsoid-dim-float", "integration.t_min-above-max_flow_time",
         ],
     )
     def test_bad_nested_value_fails_before_any_output(self, tmp_path, capsys, overrides):
@@ -150,6 +153,16 @@ class TestConfigValidation:
         assert main(["run", str(file)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "config-echo.json").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["study", "--runs", "2"]], ids=["run", "study"])
+    def test_output_dir_that_is_a_file_is_a_config_error(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        file = write_config(tmp_path, output_dir=str(taken))
+        assert main([command[0], str(file), *command[1:]]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output_dir")
+        assert "Traceback" not in err
 
     def test_non_diagonalizable_jacobian_hint(self, tmp_path, capsys, monkeypatch):
         # the hint must cover a Jacobian without an eigenbasis, whose fixed

@@ -93,14 +93,19 @@ class TestContracts:
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(2)
+        cases = []
         for dim in (2, 3):
             for _ in range(3):
                 pts = rng.standard_normal((80, dim))
                 T = rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
-                shift = rng.standard_normal(dim)
-                direct = mvee(pts @ T.T + shift).volume()
-                mapped = abs(np.linalg.det(T)) * mvee(pts).volume()
-                assert abs(direct - mapped) / mapped < 1e-5
+                cases.append((pts, T, rng.standard_normal(dim)))
+        # a small round cloud far from the origin against its centered copy
+        small = 1e-4 * rng.standard_normal((200, 2))
+        cases.append((small - small.mean(axis=0), np.eye(2), np.array([10.0, 10.0])))
+        for pts, T, shift in cases:
+            direct = mvee(pts @ T.T + shift).volume()
+            mapped = abs(np.linalg.det(T)) * mvee(pts).volume()
+            assert abs(direct - mapped) / mapped < 1e-5
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -110,10 +115,21 @@ class TestContracts:
 
     def test_degenerate_cloud_is_regularized_and_flagged(self):
         line = np.column_stack([np.linspace(-1, 1, 40), np.zeros(40)])
-        with pytest.warns(DegenerateCloudWarning):
-            E = mvee(line)
-        assert isinstance(E, Ellipsoid)
-        assert np.all(np.linalg.norm(line @ E.A.T - E.b, axis=1) <= 1.0 + 1e-9)
+        # scatter eigenvalues in ratio 1e-10, at the origin and shifted by 10
+        white = np.random.default_rng(5).standard_normal((200, 2))
+        white -= white.mean(axis=0)
+        white = white @ np.linalg.inv(np.linalg.cholesky(white.T @ white / 200)).T
+        thin = white * [1.0, 1e-5]
+        covers = []
+        for cloud in (line, thin, thin + 10.0):
+            with pytest.warns(DegenerateCloudWarning):
+                E = mvee(cloud)
+            assert isinstance(E, Ellipsoid)
+            assert np.all(np.linalg.norm(cloud @ E.A.T - E.b, axis=1) <= 1.0 + 1e-9)
+            covers.append(E)
+        A_far, A_near = covers[2].A, covers[1].A
+        assert np.abs(A_far - A_near).max() <= 1e-9 * np.abs(A_near).max()
+        assert np.abs(covers[2].center - 10.0 - covers[1].center).max() <= 1e-9
 
     def test_volume_optimality_against_sample_subsets(self):
         # removing non-hull points must not change the cover
