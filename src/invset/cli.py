@@ -87,7 +87,7 @@ _DEFAULTS = {
     "beta": (_NUMBER, 1e-9),
     "max_iters": (_INTEGER, 500),
     "seed": (_INTEGER, 0),
-    "init": (dict, {"mode": "contraction", "r": 5.0}),
+    "init": (dict, {"mode": "contraction"}),
     "integration": (dict, {}),
     "rbf": (dict, {}),
     "k_max": (_INTEGER, 20),
@@ -247,14 +247,24 @@ def _set_from_payload(payload: dict):
     raise ConfigError(f"unknown invariant set type {kind!r}")
 
 
-def _build_from_config(cfg: dict, tightened: bool = False):
+def prepare(cfg: dict):
+    """(system bundle, initial set, fixed point, Jacobian) of a validated config; a
+    contraction init finds the last two at tightened tolerances, else they are None."""
     options = IntegrationOptions(**cfg["integration"])
-    if tightened:
-        options = options.tightened()
-    return build_system(cfg["system"], cfg["system_params"], options)
+    bundle = build_system(cfg["system"], cfg["system_params"], options)
+    init = cfg["init"]
+    if init["mode"] == "explicit":
+        return bundle, Ellipsoid.from_dict(init["ellipsoid"]), None, None
+    tight = build_system(cfg["system"], cfg["system_params"], options.tightened()).poincare_map
+    seed_point = np.asarray(init.get("fixed_point_seed", bundle.fixed_point_seed), dtype=float)
+    fixed_point = find_fixed_point(tight, seed_point)
+    jacobian = fd_jacobian(tight, fixed_point)
+    initial = contraction_init(jacobian, float(init["r"]), center=fixed_point)
+    return bundle, initial, fixed_point, jacobian
 
 
-def _run_config(cfg: dict, pmap, initial, seed: int, store_samples: bool):
+def run_config(cfg: dict, pmap, initial, seed: int, store_samples: bool):
+    """`algorithm.run` from `initial` under a validated config's run settings."""
     return run(
         pmap,
         initial,
@@ -269,23 +279,9 @@ def _run_config(cfg: dict, pmap, initial, seed: int, store_samples: bool):
     )
 
 
-def _initial_ellipsoid(cfg: dict):
-    """Initial set plus (fixed point, Floquet magnitudes) when linearizing."""
-    init = cfg["init"]
-    if init["mode"] == "explicit":
-        return Ellipsoid.from_dict(init["ellipsoid"]), None, None
-    bundle = _build_from_config(cfg, tightened=True)
-    seed_point = init.get("fixed_point_seed", bundle.fixed_point_seed)
-    fixed_point = find_fixed_point(bundle.poincare_map, np.asarray(seed_point, dtype=float))
-    jacobian = fd_jacobian(bundle.poincare_map, fixed_point)
-    magnitudes = sorted(np.abs(np.linalg.eigvals(jacobian)), reverse=True)
-    initial = contraction_init(jacobian, float(init["r"]), center=fixed_point)
-    return initial, fixed_point, [float(v) for v in magnitudes]
-
-
 def _start(config_path):
-    """Load and validate a config, echo it into its output directory, and
-    build its system: (config, output directory, system bundle)."""
+    """Load and validate a config and echo it into its output directory:
+    (config, output directory)."""
     cfg = load_config(config_path)
     outdir = _resolve_output_dir(cfg["output_dir"])
     try:
@@ -293,13 +289,16 @@ def _start(config_path):
     except OSError as exc:
         raise ConfigError(f"cannot create output_dir {outdir}: {exc}") from exc
     _write_json(outdir / "config-echo.json", cfg)
-    return cfg, outdir, _build_from_config(cfg)
+    return cfg, outdir
 
 
 def cmd_run(config_path) -> int:
-    cfg, outdir, bundle = _start(config_path)
-    initial, fixed_point, floquet = _initial_ellipsoid(cfg)
-    result = _run_config(cfg, bundle.poincare_map, initial, cfg["seed"], store_samples=True)
+    cfg, outdir = _start(config_path)
+    bundle, initial, fixed_point, jacobian = prepare(cfg)
+    result = run_config(cfg, bundle.poincare_map, initial, cfg["seed"], store_samples=True)
+    floquet = None
+    if jacobian is not None:
+        floquet = [float(v) for v in sorted(np.abs(np.linalg.eigvals(jacobian)), reverse=True)]
 
     payload = {
         "system": cfg["system"],
@@ -313,6 +312,8 @@ def cmd_run(config_path) -> int:
         "floquet_magnitudes": floquet,
         "config": cfg,
     }
+    for stale in [*outdir.glob("samples/iter_*.csv"), outdir / "kstep.csv"]:
+        stale.unlink(missing_ok=True)  # left by a longer run or by verify
     _write_json(outdir / "result.json", payload)
     _write_history(outdir, result.history)
     _write_samples(outdir, result.history, bundle.reduced_dim)
@@ -345,7 +346,8 @@ def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
     if missing:
         raise ConfigError(f"the config in {result_path} is missing {missing}")
     invariant_set = _set_from_payload(payload["invariant_set"])
-    bundle = _build_from_config(cfg)
+    options = IntegrationOptions(**cfg["integration"])
+    bundle = build_system(cfg["system"], cfg["system_params"], options)
     dim = invariant_set.dim
     _require(dim == bundle.reduced_dim, f"invariant_set has dim {dim}, not {bundle.reduced_dim}")
     if k_max is None:
@@ -369,14 +371,14 @@ def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
 def cmd_study(config_path, runs: int) -> int:
     if runs < 2:
         raise ConfigError("study needs runs >= 2")
-    cfg, outdir, bundle = _start(config_path)
-    initial, _, _ = _initial_ellipsoid(cfg)
+    cfg, outdir = _start(config_path)
+    bundle, initial, _, _ = prepare(cfg)
     outcomes = []
     failures = []
     for offset in range(runs):
         seed = cfg["seed"] + offset
         try:
-            result = _run_config(cfg, bundle.poincare_map, initial, seed, store_samples=False)
+            result = run_config(cfg, bundle.poincare_map, initial, seed, store_samples=False)
             outcomes.append((seed, result))
         except (CollapseError, RbfSamplingError) as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))

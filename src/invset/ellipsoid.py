@@ -249,7 +249,8 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     reached.  The one degeneracy rule, decided before the solve so that a
     translation cannot move it: with w the eigenvalues of the scatter about
     the mean, a cloud with min w <= ridge = max(1e-9 mean(w), 1e-18) gets
-    the scatter plus ridge I instead and a DegenerateCloudWarning.
+    the scatter plus ridge I instead and a DegenerateCloudWarning.  A finite
+    cloud whose scatter overflows raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -260,11 +261,15 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    origin = pts.mean(axis=0)
-    centered = pts - origin
-    w, vecs = np.linalg.eigh(centered.T @ centered / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        origin = pts.mean(axis=0)
+        centered = pts - origin
+        scatter = centered.T @ centered / n
+    if not np.all(np.isfinite(scatter)):
+        raise ValueError("the scatter of the points overflows")
+    w, vecs = np.linalg.eigh(scatter)
     ridge = max(1e-9 * w.sum() / d, 1e-18)
-    degenerate = not w[0] > ridge  # an overflowed (NaN) scatter too
+    degenerate = w[0] <= ridge
     if degenerate:
         # the ridged uniform scatter; the final rescale restores containment
         center = origin

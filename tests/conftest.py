@@ -1,21 +1,30 @@
+from pathlib import Path
+
 import pytest
 
-from invset.hybrid import IntegrationOptions, contraction_init, fd_jacobian, find_fixed_point
-from invset.systems import (
-    COMPASS_GAIT_SECTION_SEED,
-    CompassGaitParams,
-    compass_gait_batch_callbacks,
-    compass_gait_poincare_map,
-)
+from invset.cli import load_config, prepare
+from invset.hybrid import IntegrationOptions
+from invset.systems import compass_gait_batch_callbacks, compass_gait_poincare_map
 
-COMPASS_RUN_OPTIONS = IntegrationOptions(
-    rel_tol=1e-8, abs_tol=1e-10, max_flow_time=5.0, method="rk45"
-)
+
+def prepare_shipped(name, **pins):
+    """(config, *`cli.prepare`) of `configs/<name>.json`; it must hold the settings `pins`."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    assert {key: cfg[key] for key in pins} == pins, f"configs/{name}.json moved a pinned setting"
+    return (cfg, *prepare(cfg))
 
 
 @pytest.fixture(scope="session")
-def compass_params():
-    return CompassGaitParams()
+def compass_prepared():
+    return prepare_shipped(
+        "compass_gait", N=1000, eps_target=0.03, beta=1e-9, max_iters=200, seed=0,
+        init={"mode": "contraction", "r": 5.2}, representation="ellipsoid",
+    )
+
+
+@pytest.fixture(scope="session")
+def compass_params(compass_prepared):
+    return compass_prepared[1].params
 
 
 @pytest.fixture(scope="session")
@@ -24,25 +33,26 @@ def compass_system(compass_params):
 
 
 @pytest.fixture(scope="session")
-def compass_map(compass_params):
-    return compass_gait_poincare_map(compass_params, COMPASS_RUN_OPTIONS)
+def compass_map(compass_prepared):
+    return compass_prepared[1].poincare_map
 
 
 @pytest.fixture(scope="session")
-def compass_map_tight(compass_params):
-    return compass_gait_poincare_map(compass_params, COMPASS_RUN_OPTIONS.tightened())
+def compass_map_tight(compass_prepared, compass_params):
+    options = IntegrationOptions(**compass_prepared[0]["integration"]).tightened()
+    return compass_gait_poincare_map(compass_params, options)
 
 
 @pytest.fixture(scope="session")
-def compass_fixed_point(compass_map_tight):
-    return find_fixed_point(compass_map_tight, COMPASS_GAIT_SECTION_SEED, tol=1e-10)
+def compass_initial_ellipsoid(compass_prepared):
+    return compass_prepared[2]
 
 
 @pytest.fixture(scope="session")
-def compass_jacobian(compass_map_tight, compass_fixed_point):
-    return fd_jacobian(compass_map_tight, compass_fixed_point)
+def compass_fixed_point(compass_prepared):
+    return compass_prepared[3]
 
 
 @pytest.fixture(scope="session")
-def compass_initial_ellipsoid(compass_jacobian, compass_fixed_point):
-    return contraction_init(compass_jacobian, 5.2, center=compass_fixed_point)
+def compass_jacobian(compass_prepared):
+    return compass_prepared[4]

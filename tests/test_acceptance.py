@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from invset.algorithm import RbfOptions, run, verify_k_step
+from invset.algorithm import run, verify_k_step
 from invset.ellipsoid import Ellipsoid, mvee
 from invset.batchflow import integrate_to_guard
+from invset.cli import run_config
 from invset.hybrid import PoincareMap
 from invset.pac import binomial_cdf, binomial_tail_inversion
 from invset.systems import (
@@ -27,16 +28,17 @@ from invset.systems import (
     nec_poincare_map,
     nec_true_volume,
 )
+from tests.conftest import prepare_shipped
 from tests.test_cli import run_cli_with_blas_threads
 from tests.test_pac import direct_sum_cdf
 
 E0_DISK = Ellipsoid.ball(math.sqrt(10), [0.0, 0.0])
+E0_INIT = {"mode": "explicit", "ellipsoid": E0_DISK.to_dict()}  # of the shipped nec profiles
 CEC_SAMPLES = 1000
 CEC_EPS = 0.03
 CEC_BETA = 1e-9
 CEC_MAX_ITERS = 60
 NEC_SAMPLES = 2000  # holdout size of the shipped NEC profile
-COMPASS_SAMPLES = 1000
 COMPASS_SCALE = 5.2  # contraction inflation of the shipped walker profile
 
 
@@ -56,22 +58,17 @@ def cec_runs():
 
 @pytest.fixture(scope="session")
 def nec_runs():
-    pmap = nec_poincare_map()
-    return [run(pmap, E0_DISK, NEC_SAMPLES, 0.07, 1e-9, 400, seed=s) for s in range(10)]
+    cfg, bundle, initial, _, _ = prepare_shipped(
+        "nec", N=NEC_SAMPLES, eps_target=0.07, beta=1e-9, max_iters=400, seed=0,
+        init=E0_INIT, representation="ellipsoid",
+    )
+    return [run_config(cfg, bundle.poincare_map, initial, s, False) for s in range(10)]
 
 
 @pytest.fixture(scope="session")
-def compass_run(compass_map, compass_initial_ellipsoid):
-    return run(
-        compass_map,
-        compass_initial_ellipsoid,
-        COMPASS_SAMPLES,
-        0.03,
-        1e-9,
-        200,
-        seed=0,
-        store_samples=False,
-    )
+def compass_run(compass_prepared):
+    cfg, bundle, initial, _, _ = compass_prepared
+    return run_config(cfg, bundle.poincare_map, initial, cfg["seed"], False)
 
 
 def cec_expected_iterations(n, eps_target, beta, area_ratio, max_iters):
@@ -141,18 +138,11 @@ def test_criterion_2_nec_end_to_end(nec_runs):
 
 
 def test_criterion_3_nec_rbf():
-    pmap = nec_poincare_map()
-    result = run(
-        pmap,
-        E0_DISK,
-        1000,
-        0.05,
-        1e-9,
-        100,
-        seed=0,
-        representation="rbf",
-        rbf_options=RbfOptions(m=2, gamma=0.25),
+    cfg, bundle, initial, _, _ = prepare_shipped(
+        "nec_rbf", N=1000, eps_target=0.05, beta=1e-9, max_iters=100, seed=0,
+        init=E0_INIT, representation="rbf", rbf={"m": 2, "gamma": 0.25},
     )
+    result = run_config(cfg, bundle.poincare_map, initial, cfg["seed"], False)
     fitted = result.invariant_set
     centers_in = bool(fitted.contains_batch(np.array([[-0.6, 0.0], [0.6, 0.0]])).all())
     ok = (

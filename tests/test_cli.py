@@ -11,7 +11,17 @@ import pytest
 
 import invset
 from invset.algorithm import RbfOptions
-from invset.cli import _DEFAULTS, EXIT_BUDGET, EXIT_ERROR, EXIT_OK, ConfigError, load_config, main
+from invset.cli import (
+    _DEFAULTS,
+    EXIT_BUDGET,
+    EXIT_ERROR,
+    EXIT_OK,
+    ConfigError,
+    load_config,
+    main,
+    prepare,
+    validate_config,
+)
 from invset.hybrid import IntegrationOptions
 from invset.pac import binomial_tail_inversion
 
@@ -202,8 +212,21 @@ def _kept(given, echoed) -> bool:
     "config", sorted(Path(__file__).parent.parent.glob("configs/*.json")), ids=lambda p: p.stem
 )
 def test_shipped_config_loads_and_its_echo_keeps_its_values(config):
-    echo = json.loads(json.dumps(load_config(config)))
+    cfg = load_config(config)
+    echo = json.loads(json.dumps(cfg))
     assert _kept(json.loads(config.read_text()), echo)
+    bundle, initial, fixed_point, _ = prepare(cfg)
+    assert initial.dim == bundle.reduced_dim
+    if cfg["init"]["mode"] == "contraction":
+        assert initial.contains_batch(fixed_point[None]).all()
+
+
+@pytest.mark.parametrize(
+    "init", [{}, {"init": {"mode": "contraction"}}], ids=["no-init", "init-without-r"]
+)
+def test_contraction_init_echoes_the_default_r(init):
+    echo = json.dumps(validate_config({"system": "cec", **init})["init"])
+    assert echo == '{"mode": "contraction", "r": 5.0}'
 
 
 def test_readme_config_block_lists_the_accepted_keys():
@@ -313,6 +336,18 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "result.json").read_text())
         E = Ellipsoid.from_dict(payload["invariant_set"])
         assert E.volume() > 0
+
+    def test_rerun_removes_the_stale_samples_and_kstep(self, tmp_path):
+        long_run = write_config(tmp_path, eps_target=0.0005, max_iters=10)
+        assert main(["run", str(long_run)]) == EXIT_BUDGET
+        out = tmp_path / "out"
+        assert main(["verify", str(out / "result.json"), "--kmax", "2", "--samples", "100"]) == EXIT_OK
+        assert (out / "kstep.csv").exists()
+        assert main(["run", str(write_config(tmp_path))]) == EXIT_OK
+        iterations = json.loads((out / "result.json").read_text())["iterations"]
+        assert iterations < 10
+        assert len(list((out / "samples").glob("iter_*.csv"))) == iterations
+        assert not (out / "kstep.csv").exists()
 
     def test_rbf_sampling_failure_is_reported_without_traceback(self, tmp_path):
         file = write_config(tmp_path, **THIN_RBF)

@@ -112,6 +112,8 @@ class TestContracts:
             mvee(np.empty((0, 2)))
         with pytest.raises(ValueError):
             mvee(np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError, match="overflow"):
+            mvee(np.random.default_rng(0).standard_normal((50, 2)) * 1e160)
 
     def test_degenerate_cloud_is_regularized_and_flagged(self):
         line = np.column_stack([np.linspace(-1, 1, 40), np.zeros(40)])
