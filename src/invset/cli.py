@@ -11,7 +11,9 @@ systems                list built-in systems and their default parameters
 A run directory contains config-echo.json, result.json, history.csv,
 timings.csv, and samples/iter_####.csv.  Everything except timings.csv is a
 pure function of (config, seed): re-running a command with the same inputs
-reproduces those files byte for byte.
+reproduces those files byte for byte.  The config echo is written together
+with the results, after the run, so a run or study that fails writes nothing
+new into its output directory.
 """
 
 import argparse
@@ -194,57 +196,51 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _float_cell(value) -> str:
-    return repr(float(value))
+def _write_csv(path: Path, header: str, rows):
+    """Write the `header` line, then each row's cells joined by commas.
+
+    Rows hold Python scalars (int, float, str), never NumPy ones: a float
+    cell is `str(float)`, its shortest repr, which `float(cell)` reads back
+    bit for bit; a flag is the int 0 or 1.
+    """
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_history(outdir: Path, history):
-    lines = ["iter,volume,violations,epsilon_star"]
-    times = ["iter,wall_ms"]
-    for rec in history.records:
-        lines.append(
-            f"{rec.iteration},{_float_cell(rec.volume)},{rec.violations},{_float_cell(rec.epsilon_star)}"
-        )
-        times.append(f"{rec.iteration},{_float_cell(rec.wall_ms)}")
-    (outdir / "history.csv").write_text("\n".join(lines) + "\n")
-    (outdir / "timings.csv").write_text("\n".join(times) + "\n")
+    records = history.records
+    rows = [(r.iteration, float(r.volume), r.violations, r.epsilon_star) for r in records]
+    _write_csv(outdir / "history.csv", "iter,volume,violations,epsilon_star", rows)
+    _write_csv(outdir / "timings.csv", "iter,wall_ms", [(r.iteration, r.wall_ms) for r in records])
 
 
 def _write_samples(outdir: Path, history, dim: int):
     samples_dir = outdir / "samples"
     samples_dir.mkdir(exist_ok=True)
-    header = (
-        ",".join(f"x{i}" for i in range(dim))
-        + ","
-        + ",".join(f"y{i}" for i in range(dim))
-        + ",contained"
-    )
+    header = ",".join([*(f"x{i}" for i in range(dim)), *(f"y{i}" for i in range(dim)), "contained"])
     for rec in history.records:
         if rec.batch is None:
             continue
-        rows = [header]
-        for xi, yi, flag in zip(rec.batch.inputs, rec.batch.outputs, rec.batch.flags):
-            cells = [_float_cell(v) for v in xi] + [_float_cell(v) for v in yi]
-            cells.append("1" if flag else "0")
-            rows.append(",".join(cells))
-        (samples_dir / f"iter_{rec.iteration:04d}.csv").write_text("\n".join(rows) + "\n")
+        pairs = np.hstack((rec.batch.inputs, rec.batch.outputs)).tolist()
+        rows = [[*pair, int(flag)] for pair, flag in zip(pairs, rec.batch.flags.tolist())]
+        _write_csv(samples_dir / f"iter_{rec.iteration:04d}.csv", header, rows)
+
+
+# The "type" of an invariant set in result.json.
+_SET_TYPES = {"ellipsoid": Ellipsoid, "rbf": RBFSet}
 
 
 def _set_payload(invariant_set) -> dict:
-    if isinstance(invariant_set, Ellipsoid):
-        return {"type": "ellipsoid", **invariant_set.to_dict()}
-    if isinstance(invariant_set, RBFSet):
-        return {"type": "rbf", **invariant_set.to_dict()}
-    raise TypeError(f"unsupported set type {type(invariant_set)!r}")
+    (kind,) = (name for name, cls in _SET_TYPES.items() if isinstance(invariant_set, cls))
+    return {"type": kind, **invariant_set.to_dict()}
 
 
 def _set_from_payload(payload: dict):
     kind = payload.get("type") if isinstance(payload, dict) else None
-    if kind == "ellipsoid":
-        return _checked("invariant_set", Ellipsoid.from_dict, payload)
-    if kind == "rbf":
-        return _checked("invariant_set", RBFSet.from_dict, payload)
-    raise ConfigError(f"unknown invariant set type {kind!r}")
+    cls = _SET_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown invariant set type {kind!r}")
+    return _checked("invariant_set", cls.from_dict, payload)
 
 
 def prepare(cfg: dict):
@@ -280,15 +276,14 @@ def run_config(cfg: dict, pmap, initial, seed: int, store_samples: bool):
 
 
 def _start(config_path):
-    """Load and validate a config and echo it into its output directory:
-    (config, output directory)."""
+    """Load and validate a config and create its output directory, writing
+    nothing into it: (config, output directory)."""
     cfg = load_config(config_path)
     outdir = _resolve_output_dir(cfg["output_dir"])
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output_dir {outdir}: {exc}") from exc
-    _write_json(outdir / "config-echo.json", cfg)
     return cfg, outdir
 
 
@@ -314,6 +309,7 @@ def cmd_run(config_path) -> int:
     }
     for stale in [*outdir.glob("samples/iter_*.csv"), outdir / "kstep.csv"]:
         stale.unlink(missing_ok=True)  # left by a longer run or by verify
+    _write_json(outdir / "config-echo.json", cfg)
     _write_json(outdir / "result.json", payload)
     _write_history(outdir, result.history)
     _write_samples(outdir, result.history, bundle.reduced_dim)
@@ -355,14 +351,9 @@ def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
     records = verify_k_step(
         bundle.poincare_map, invariant_set, n_samples, k_max, float(cfg["beta"]), seed
     )
-    lines = ["k,violations,epsilon_star,exits,epsilon_star_exit"]
-    for rec in records:
-        lines.append(
-            f"{rec.steps},{rec.violations},{_float_cell(rec.epsilon_star)},"
-            f"{rec.exits},{_float_cell(rec.epsilon_star_exit)}"
-        )
+    rows = [(r.steps, r.violations, r.epsilon_star, r.exits, r.epsilon_star_exit) for r in records]
     out = result_file.parent / "kstep.csv"
-    out.write_text("\n".join(lines) + "\n")
+    _write_csv(out, "k,violations,epsilon_star,exits,epsilon_star_exit", rows)
     worst = max(rec.epsilon_star for rec in records)
     print(f"k-step verification: k <= {k_max}, worst epsilon_star = {worst:.6f} -> {out}")
     return EXIT_OK
@@ -388,31 +379,27 @@ def cmd_study(config_path, runs: int) -> int:
             print(f"seed {seed}: {message}", file=sys.stderr)
         return EXIT_ERROR
 
-    run_lines = ["seed,termination,iterations,violations,epsilon_star,volume"]
+    run_rows = []
     for seed, result in outcomes:
-        vol = result.history.records[result.history.final_iteration - 1].volume
-        run_lines.append(
-            f"{seed},{result.history.termination},{result.history.iterations},"
-            f"{result.certificate.violations},{_float_cell(result.certificate.epsilon_star)},"
-            f"{_float_cell(vol)}"
+        history, cert = result.history, result.certificate
+        volume = float(history.records[history.final_iteration - 1].volume)
+        run_rows.append(
+            (seed, history.termination, history.iterations, cert.violations, cert.epsilon_star,
+             volume)
         )
-    (outdir / "study_runs.csv").write_text("\n".join(run_lines) + "\n")
-
-    longest = max(result.history.iterations for _, result in outcomes)
-    summary = ["iter,accuracy_mean,accuracy_std,volume_mean,volume_std"]
-    for index in range(longest):
-        accs, vols = [], []
-        for _, result in outcomes:
-            records = result.history.records
-            rec = records[min(index, len(records) - 1)]  # carry the final iterate forward
-            accs.append(1.0 - rec.epsilon_star)
-            vols.append(rec.volume)
-        accs, vols = np.asarray(accs), np.asarray(vols)
-        summary.append(
-            f"{index + 1},{_float_cell(accs.mean())},{_float_cell(accs.std())},"
-            f"{_float_cell(vols.mean())},{_float_cell(vols.std())}"
-        )
-    (outdir / "study_summary.csv").write_text("\n".join(summary) + "\n")
+    summary_rows = []
+    for index in range(max(result.history.iterations for _, result in outcomes)):
+        # a run shorter than `index + 1` iterations carries its final iterate forward
+        recs = [r.history.records[min(index, len(r.history.records) - 1)] for _, r in outcomes]
+        accs = np.asarray([1.0 - rec.epsilon_star for rec in recs])
+        vols = np.asarray([rec.volume for rec in recs])
+        stats = (accs.mean(), accs.std(), vols.mean(), vols.std())
+        summary_rows.append((index + 1, *map(float, stats)))
+    _write_json(outdir / "config-echo.json", cfg)
+    header = "seed,termination,iterations,violations,epsilon_star,volume"
+    _write_csv(outdir / "study_runs.csv", header, run_rows)
+    header = "iter,accuracy_mean,accuracy_std,volume_mean,volume_std"
+    _write_csv(outdir / "study_summary.csv", header, summary_rows)
 
     mean_iters = float(np.mean([result.history.iterations for _, result in outcomes]))
     print(

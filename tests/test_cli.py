@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invset
-from invset.algorithm import RbfOptions
+from invset.algorithm import RbfOptions, verify_k_step
 from invset.cli import (
     _DEFAULTS,
     EXIT_BUDGET,
@@ -20,6 +21,7 @@ from invset.cli import (
     load_config,
     main,
     prepare,
+    run_config,
     validate_config,
 )
 from invset.hybrid import IntegrationOptions
@@ -359,16 +361,29 @@ class TestRunCommand:
         assert done.stderr.startswith("run failed: acceptance rate")
         assert "Traceback" not in done.stderr
 
+    def test_failed_run_leaves_the_earlier_runs_files_as_they_were(self, tmp_path, capsys):
+        assert main(["run", str(write_config(tmp_path))]) == EXIT_OK
+        out = tmp_path / "out"
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        assert main(["run", str(write_config(tmp_path, **THIN_RBF))]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("run failed:")
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+        echo = json.loads((out / "config-echo.json").read_text())
+        assert echo == json.loads((out / "result.json").read_text())["config"]
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical_across_threads(self, tmp_path):
         for threads, name in ((1, "a"), (2, "b")):
             file = write_config(tmp_path, output_dir=str(tmp_path / name))
             assert run_cli_with_blas_threads(["run", file], threads) == EXIT_OK
-        for name in ("result.json", "history.csv"):
+            result = tmp_path / name / "result.json"
+            assert run_cli_with_blas_threads(["verify", result, "--kmax", "3"], threads) == EXIT_OK
+        for name in ("config-echo.json", "result.json", "history.csv", "kstep.csv"):
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
-            if name == "result.json":
+            if name.endswith(".json"):
                 # the echoed config differs only in output_dir
                 a = a.replace(str(tmp_path / "a").encode(), b"X")
                 b = b.replace(str(tmp_path / "b").encode(), b"X")
@@ -427,10 +442,11 @@ class TestVerifyCommand:
             lambda s: s.update(
                 type="rbf", centers=[[math.nan, 0.0], [0.5, 0.0]], widths=[1.0, 1.0], gamma=0.5
             ),
+            lambda s: s.update(type=["ellipsoid"]),
         ],
         ids=[
             "no-A", "A-of-3", "rbf-gamma-above-m", "rbf-no-widths", "dim-1",
-            "rbf-nan-width", "rbf-inf-width", "rbf-nan-center",
+            "rbf-nan-width", "rbf-inf-width", "rbf-nan-center", "type-not-a-string",
         ],
     )
     def test_malformed_invariant_set_is_a_config_error(self, tmp_path, capsys, edit):
@@ -480,11 +496,78 @@ class TestStudyCommand:
         err = capsys.readouterr().err
         assert "seed 0: failed (RbfSamplingError)" in err
         assert "seed 1: failed (RbfSamplingError)" in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_single_run_rejected(self, tmp_path, capsys):
         file = write_config(tmp_path)
         assert main(["study", str(file), "--runs", "1"]) == EXIT_ERROR
         assert "runs" in capsys.readouterr().err
+
+
+def _csv_rows(path: Path, header: str) -> list:
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_csv_cells_read_back_the_records_exactly(tmp_path):
+    # N = 200 and eps_target 0.1 certify seeds 0, 1, 2 in 6, 6 and 7 iterations,
+    # so the study summary's last row carries two runs' final iterates forward
+    file = write_config(tmp_path, N=200, eps_target=0.1)
+    out = tmp_path / "out"
+    assert main(["run", str(file)]) == EXIT_OK
+    assert main(["verify", str(out / "result.json"), "--kmax", "3", "--samples", "200"]) == EXIT_OK
+    assert main(["study", str(file), "--runs", "3"]) == EXIT_OK
+    cfg = load_config(file)
+    bundle, initial, _, _ = prepare(cfg)
+    results = [
+        run_config(cfg, bundle.poincare_map, initial, seed, store_samples=seed == 0)
+        for seed in range(3)
+    ]
+
+    records = results[0].history.records
+    rows = _csv_rows(out / "history.csv", "iter,volume,violations,epsilon_star")
+    assert len(rows) == len(records)
+    for (it, volume, violations, eps), rec in zip(rows, records):
+        assert int(it) == rec.iteration and int(violations) == rec.violations
+        assert float(volume) == rec.volume and float(eps) == rec.epsilon_star
+
+    batch = records[0].batch
+    rows = _csv_rows(out / "samples" / "iter_0001.csv", "x0,x1,y0,y1,contained")
+    assert len(rows) == len(batch.flags)
+    for cells, x, y, flag in zip(rows, batch.inputs, batch.outputs, batch.flags):
+        assert [float(cell) for cell in cells[:4]] == [*x, *y]
+        assert cells[4] == ("1" if flag else "0")
+
+    kstep = verify_k_step(bundle.poincare_map, results[0].invariant_set, 200, 3, cfg["beta"], 0)
+    rows = _csv_rows(out / "kstep.csv", "k,violations,epsilon_star,exits,epsilon_star_exit")
+    assert len(rows) == 3
+    for (k, violations, eps, exits, eps_exit), rec in zip(rows, kstep):
+        assert (int(k), int(violations), int(exits)) == (rec.steps, rec.violations, rec.exits)
+        assert float(eps) == rec.epsilon_star and float(eps_exit) == rec.epsilon_star_exit
+
+    header = "seed,termination,iterations,violations,epsilon_star,volume"
+    rows = _csv_rows(out / "study_runs.csv", header)
+    assert len(rows) == 3
+    for (_, termination, iterations, violations, eps, volume), result in zip(rows, results):
+        history = result.history
+        assert (termination, int(iterations)) == (history.termination, history.iterations)
+        assert int(violations) == result.certificate.violations
+        assert float(eps) == result.certificate.epsilon_star
+        assert float(volume) == history.records[history.final_iteration - 1].volume
+    assert [int(row[0]) for row in rows] == [0, 1, 2]
+
+    lengths = [len(result.history.records) for result in results]
+    assert min(lengths) < max(lengths)
+    header = "iter,accuracy_mean,accuracy_std,volume_mean,volume_std"
+    rows = _csv_rows(out / "study_summary.csv", header)
+    assert [int(row[0]) for row in rows] == list(range(1, max(lengths) + 1))
+    for index, (_, acc_mean, acc_std, vol_mean, vol_std) in enumerate(rows):
+        finals = [r.history.records[min(index, len(r.history.records) - 1)] for r in results]
+        accs = np.array([1.0 - rec.epsilon_star for rec in finals])
+        vols = np.array([rec.volume for rec in finals])
+        assert (float(acc_mean), float(acc_std)) == (accs.mean(), accs.std())
+        assert (float(vol_mean), float(vol_std)) == (vols.mean(), vols.std())
 
 
 class TestUsage:
