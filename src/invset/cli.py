@@ -8,12 +8,13 @@ verify <result.json>   re-certify a finished run over k = 1..k_max map steps
 study <config.json>    repeat a run over consecutive seeds and aggregate
 systems                list built-in systems and their default parameters
 
-A run directory contains config-echo.json, result.json, history.csv,
-timings.csv, and samples/iter_####.csv.  Everything except timings.csv is a
-pure function of (config, seed): re-running a command with the same inputs
-reproduces those files byte for byte.  The config echo is written together
-with the results, after the run, so a run or study that fails writes nothing
-new into its output directory.
+Each file of a run directory has one writing command: `run` writes
+config-echo.json, result.json, history.csv, timings.csv and
+samples/iter_####.csv (and removes stale iter_*.csv and kstep.csv), `verify`
+kstep.csv, and `study` study_config.json, study_runs.csv and study_summary.csv.
+Everything except timings.csv is a pure function of (config, seed), and a
+command writes its files once it has finished, so one that fails writes
+nothing new into its output directory.
 """
 
 import argparse
@@ -63,6 +64,12 @@ def _json(kinds, description):
 
 _INTEGER = _json(int, "an integer")
 _NUMBER = _json((int, float), "a number")
+_TEXT = _json(str, "a string")
+
+
+def _object(value):
+    """A copy of `value` if it is a JSON object: validation fills in its defaults."""
+    return dict(_json(dict, "an object")(value))
 
 
 def _numbers(value):
@@ -78,22 +85,22 @@ def _numbers(value):
 # The nested blocks whose every value is numeric, bar the named text keys.
 _NUMERIC_BLOCKS = {"system_params": (), "integration": ("method",), "rbf": (), "init": ("mode",)}
 
-# Top-level config keys: (conversion, default).  The values of the nested
-# blocks are checked by `_numbers`, then by the classes they configure.
+# Top-level config keys: (JSON type check, default).  The values of the
+# nested blocks are checked by `_numbers`, then by the classes they configure.
 _DEFAULTS = {
-    "system": (str, None),
-    "system_params": (dict, {}),
-    "representation": (str, "ellipsoid"),
+    "system": (_TEXT, None),
+    "system_params": (_object, {}),
+    "representation": (_TEXT, "ellipsoid"),
     "N": (_INTEGER, 1000),
     "eps_target": (_NUMBER, 0.03),
     "beta": (_NUMBER, 1e-9),
     "max_iters": (_INTEGER, 500),
     "seed": (_INTEGER, 0),
-    "init": (dict, {"mode": "contraction"}),
-    "integration": (dict, {}),
-    "rbf": (dict, {}),
+    "init": (_object, {"mode": "contraction"}),
+    "integration": (_object, {}),
+    "rbf": (_object, {}),
     "k_max": (_INTEGER, 20),
-    "output_dir": (_json(str, "a string"), "invset-run"),
+    "output_dir": (_TEXT, "invset-run"),
 }
 
 
@@ -138,12 +145,12 @@ def validate_config(raw) -> dict:
     """Validate a parsed run configuration, filling in defaults."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _reject_unknown(raw, set(_DEFAULTS), "config")
+    _require(raw.get("system") in SYSTEM_NAMES, f"system must be one of {SYSTEM_NAMES}")
 
     cfg = {
         key: _checked(f"config.{key}", convert, raw.get(key, default))
         for key, (convert, default) in _DEFAULTS.items()
     }
-    _require(cfg["system"] in SYSTEM_NAMES, f"system must be one of {SYSTEM_NAMES}")
     _require(cfg["k_max"] >= 1, "k_max must be >= 1")
     for block, text_keys in _NUMERIC_BLOCKS.items():
         for key, value in cfg[block].items():
@@ -395,7 +402,7 @@ def cmd_study(config_path, runs: int) -> int:
         vols = np.asarray([rec.volume for rec in recs])
         stats = (accs.mean(), accs.std(), vols.mean(), vols.std())
         summary_rows.append((index + 1, *map(float, stats)))
-    _write_json(outdir / "config-echo.json", cfg)
+    _write_json(outdir / "study_config.json", cfg)
     header = "seed,termination,iterations,violations,epsilon_star,volume"
     _write_csv(outdir / "study_runs.csv", header, run_rows)
     header = "iter,accuracy_mean,accuracy_std,volume_mean,volume_std"

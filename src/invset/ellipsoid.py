@@ -248,9 +248,11 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     the gap test passes is reported via MveeConvergenceWarning, with the gap
     reached.  The one degeneracy rule, decided before the solve so that a
     translation cannot move it: with w the eigenvalues of the scatter about
-    the mean, a cloud with min w <= ridge = max(1e-9 mean(w), 1e-18) gets
-    the scatter plus ridge I instead and a DegenerateCloudWarning.  A finite
-    cloud whose scatter overflows raises ValueError.
+    the mean, a cloud with min w <= ridge = max(1e-9 mean(w), tiny) gets
+    the scatter plus ridge I instead and a DegenerateCloudWarning.  The floor,
+    the smallest normal float, binds only for coincident points or a cloud
+    whose scatter underflows.  A finite cloud whose scatter overflows raises
+    ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -268,7 +270,7 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     if not np.all(np.isfinite(scatter)):
         raise ValueError("the scatter of the points overflows")
     w, vecs = np.linalg.eigh(scatter)
-    ridge = max(1e-9 * w.sum() / d, 1e-18)
+    ridge = max(1e-9 * w.sum() / d, np.finfo(float).tiny)
     degenerate = w[0] <= ridge
     if degenerate:
         # the ridged uniform scatter; the final rescale restores containment

@@ -179,54 +179,43 @@ def find_fixed_point(pmap, y0, tol: float = 1e-10, max_iters: int = 200) -> np.n
     falling back to damped steps whenever a Newton step fails or does not
     reduce the residual.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    def trial(point):
+        """(point, P(point), ||P(point) - point||); raises where the map fails."""
+        image = np.asarray(pmap(point), dtype=float)
+        return point, image, float(np.linalg.norm(image - point))
+
     try:
-        fy = np.asarray(pmap(y), dtype=float)
+        y, fy, residual = trial(np.asarray(y0, dtype=float).copy())
     except PoincareEvaluationError as exc:
         raise NoConvergence(f"map evaluation failed at the initial guess: {exc}") from exc
-    identity = np.eye(y.size)
-    residual = float(np.linalg.norm(fy - y))
     warmup_target = max(tol, 1e-2 * residual)
     for _ in range(10):
         if residual < warmup_target:
             break
-        candidate = y + 0.5 * (fy - y)
         try:
-            f_candidate = np.asarray(pmap(candidate), dtype=float)
+            candidate = trial(y + 0.5 * (fy - y))
         except PoincareEvaluationError:
             break
-        r_candidate = float(np.linalg.norm(f_candidate - candidate))
-        if r_candidate >= 0.9 * residual:
+        if candidate[2] >= 0.9 * residual:
             break  # damping makes no progress; go straight to Newton
-        y, fy, residual = candidate, f_candidate, r_candidate
+        y, fy, residual = candidate
+    identity = np.eye(y.size)
     for _ in range(max_iters):
         if residual < tol:
             return y
         g = fy - y
-        candidate = None
         try:
             jac = fd_jacobian(pmap, y, f0=fy, check=False)
-            step = np.linalg.solve(jac - identity, -g)
-            candidate = y + step
+            candidate = trial(y + np.linalg.solve(jac - identity, -g))
         except (PoincareEvaluationError, np.linalg.LinAlgError):
             candidate = None
-        accepted = False
-        if candidate is not None:
-            try:
-                f_candidate = np.asarray(pmap(candidate), dtype=float)
-                r_candidate = float(np.linalg.norm(f_candidate - candidate))
-                if r_candidate < residual:
-                    y, fy, residual = candidate, f_candidate, r_candidate
-                    accepted = True
-            except PoincareEvaluationError:
-                accepted = False
-        if not accepted:
-            y = y + 0.5 * g
-            try:
-                fy = np.asarray(pmap(y), dtype=float)
-            except PoincareEvaluationError as exc:
-                raise NoConvergence(f"damped iteration left the map's domain: {exc}") from exc
-            residual = float(np.linalg.norm(fy - y))
+        if candidate is not None and candidate[2] < residual:
+            y, fy, residual = candidate
+            continue
+        try:  # the damped step
+            y, fy, residual = trial(y + 0.5 * g)
+        except PoincareEvaluationError as exc:
+            raise NoConvergence(f"damped iteration left the map's domain: {exc}") from exc
     raise NoConvergence(
         f"no fixed point within {max_iters} iterations (residual {residual:.3e})"
     )
@@ -271,14 +260,14 @@ def contraction_init(jacobian, r: float, center=None) -> Ellipsoid:
     jac = np.asarray(jacobian, dtype=float)
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
         raise ValueError("jacobian must be square")
-    rate = spectral_radius(jac)
+    eigenvalues, vecs = np.linalg.eig(jac)
+    rate = float(np.abs(eigenvalues).max())
     if rate >= 1.0:
         raise UnstableLinearization(
             f"spectral radius {rate:.6f} >= 1: the linearization is not contracting"
         )
     check_contraction_scale(r)
 
-    _, vecs = np.linalg.eig(jac)
     cond = float(np.linalg.cond(vecs))
     if not cond <= _MAX_EIGENBASIS_COND:
         raise UnstableLinearization(

@@ -148,6 +148,10 @@ class TestConfigValidation:
             {"init": {"mode": "explicit", "ellipsoid": {**CEC_INIT["ellipsoid"], "dim": "2"}}},
             {"init": {"mode": "explicit", "ellipsoid": {**CEC_INIT["ellipsoid"], "dim": 2.9}}},
             {"integration": {"t_min": 6.0, "max_flow_time": 5.0}},
+            {"system": "nec", "system_params": [["r", 0.5]]},
+            {"integration": []},
+            {"rbf": [["m", 3]]},
+            {"init": [["mode", "contraction"]]},
         ],
         ids=[
             "init.r", "init.r-inf", "init.fixed_point_seed",
@@ -158,6 +162,7 @@ class TestConfigValidation:
             "init.r-string", "init.fixed_point_seed-strings", "system_params-strings",
             "integration.rel_tol-bool", "rbf.gamma-bool", "init.ellipsoid-dim-string",
             "init.ellipsoid-dim-float", "integration.t_min-above-max_flow_time",
+            "system_params-list", "integration-list", "rbf-list", "init-list",
         ],
     )
     def test_bad_nested_value_fails_before_any_output(self, tmp_path, capsys, overrides):
@@ -165,6 +170,10 @@ class TestConfigValidation:
         assert main(["run", str(file)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "config-echo.json").exists()
+
+    def test_missing_system_names_the_systems(self):
+        with pytest.raises(ConfigError, match="system must be one of"):
+            validate_config({"N": 500})
 
     @pytest.mark.parametrize("command", [["run"], ["study", "--runs", "2"]], ids=["run", "study"])
     def test_output_dir_that_is_a_file_is_a_config_error(self, tmp_path, capsys, command):
@@ -508,6 +517,45 @@ def _csv_rows(path: Path, header: str) -> list:
     lines = path.read_text().splitlines()
     assert lines[0] == header
     return [line.split(",") for line in lines[1:]]
+
+
+def test_each_run_directory_file_has_one_writer(tmp_path, monkeypatch):
+    # run, verify and study share one output_dir, as the shipped configs do
+    out = tmp_path / "out"
+    run_file = write_config(tmp_path)
+    (tmp_path / "study").mkdir()
+    study_file = write_config(tmp_path / "study", N=300, seed=5, output_dir=str(out))
+    writers, command = {}, []
+    write_text = Path.write_text
+
+    def recording(path, *args, **kwargs):
+        name = re.sub(r"\d{4}", "####", path.relative_to(out).as_posix())
+        writers.setdefault(name, set()).add(command[0])
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recording)
+    verify = ["verify", out / "result.json", "--kmax", "2", "--samples", "100"]
+    study = ["study", study_file, "--runs", "2"]
+    for args in (["run", run_file], verify, study):
+        command[:] = [args[0]]
+        assert main(list(map(str, args))) == EXIT_OK
+    study_bytes = {path.name: path.read_bytes() for path in out.glob("study_*")}
+    command[:] = ["run"]
+    assert main(["run", str(run_file)]) == EXIT_OK
+
+    assert {name: cmds for name, cmds in writers.items() if len(cmds) > 1} == {}
+    assert {path.name: path.read_bytes() for path in out.glob("study_*")} == study_bytes
+    echo = json.loads((out / "config-echo.json").read_text())
+    assert echo == json.loads((out / "result.json").read_text())["config"] == load_config(run_file)
+    assert json.loads(study_bytes["study_config.json"]) == load_config(study_file)
+    header = "seed,termination,iterations,violations,epsilon_star,volume"
+    runs = _csv_rows(out / "study_runs.csv", header)
+    assert [int(row[0]) for row in runs] == [5, 6]
+    summary = (out / "study_summary.csv").read_text().splitlines()[1:]
+    assert len(summary) == max(int(row[2]) for row in runs)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("### Run directory", 1)[1].split("\n## ", 1)[0]
+    assert set(writers) <= set(re.findall(r"^- `([^`]+)`", listed, re.M))
 
 
 def test_csv_cells_read_back_the_records_exactly(tmp_path):

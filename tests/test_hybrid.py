@@ -40,6 +40,20 @@ def _log_past_three(y):
         return np.log(y - 3.0)
 
 
+def _logged_map(fn, hole):
+    """1-D closed-form map of `fn`, NaN on the open interval `hole`, and the
+    log of its calls: (points, every row finite) per call."""
+    calls = []
+
+    def mapped(points):
+        inside = (points > hole[0]) & (points < hole[1])
+        out = np.where(inside, np.nan, fn(points))
+        calls.append((points[:, 0].tolist(), bool(np.isfinite(out).all())))
+        return out
+
+    return PoincareMap.from_function(mapped, 1), calls
+
+
 def _constant(value, x):
     """`value` at every state of `x`, one value per row."""
     return np.full(x.shape[:-1], value)
@@ -185,6 +199,46 @@ class TestFixedPoint:
         with pytest.raises(NoConvergence, match="initial guess"):
             find_fixed_point(counting, np.array([1.0]))
         assert len(calls) == 1
+
+    # Each map below is NaN on an open interval, so one kind of trial fails;
+    # the log of its calls shows which fallback ran.
+
+    def test_failed_warmup_trial_hands_over_to_newton(self):
+        pmap, calls = _logged_map(lambda y: 0.5 * y, (7.0, 8.0))
+        star = find_fixed_point(pmap, np.array([10.0]))
+        # the warm-up's damped trial at 7.5 fails; Newton starts from 10
+        assert calls[:2] == [([10.0], True), ([7.5], False)]
+        assert calls[2][0] == pytest.approx([10.0], abs=1e-4) and calls[2][1]
+        assert star[0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_failed_jacobian_falls_back_to_a_damped_step(self):
+        pmap, calls = _logged_map(lambda y: 2.0 * y + 1.0, (1.0, 1.1))
+        star = find_fixed_point(pmap, np.array([1.0]))
+        failed = [index for index, (_, ok) in enumerate(calls) if not ok]
+        assert len(failed) == 1
+        # the Jacobian's point 1.000001 fails; the damped step from 1 lands on 2
+        assert calls[failed[0]][0] == pytest.approx([1.000001], abs=1e-12)
+        assert calls[failed[0] + 1] == ([2.0], True)
+        assert star[0] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_failed_newton_candidate_falls_back_to_a_damped_step(self):
+        pmap, calls = _logged_map(lambda y: y * y, (1.7, 1.9))
+        star = find_fixed_point(pmap, np.array([0.6]))
+        failed = [index for index, (_, ok) in enumerate(calls) if not ok]
+        assert len(failed) == 1
+        # Newton from 0.6 proposes 1.8; the damped step from 0.6 lands on 0.48
+        assert calls[failed[0]][0] == pytest.approx([1.8], abs=1e-4)
+        assert calls[failed[0] + 1][0] == pytest.approx([0.48], abs=1e-15)
+        assert abs(star[0]) < 1e-10
+
+    def test_failed_damped_step_is_no_convergence(self):
+        pmap, calls = _logged_map(lambda y: 2.0 * y + 1.0, (1.0, 2.1))
+        with pytest.raises(NoConvergence, match="damped iteration left the map's domain"):
+            find_fixed_point(pmap, np.array([1.0]))
+        # after the initial guess, the warm-up trial at 2, the Jacobian's
+        # point and the damped step to 2 all fail
+        assert [ok for _, ok in calls] == [True, False, False, False]
+        assert calls[-1] == ([2.0], False)
 
 
 class TestMapContract:

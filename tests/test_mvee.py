@@ -101,7 +101,11 @@ class TestContracts:
                 cases.append((pts, T, rng.standard_normal(dim)))
         # a small round cloud far from the origin against its centered copy
         small = 1e-4 * rng.standard_normal((200, 2))
-        cases.append((small - small.mean(axis=0), np.eye(2), np.array([10.0, 10.0])))
+        round_cloud = small - small.mean(axis=0)
+        cases.append((round_cloud, np.eye(2), np.array([10.0, 10.0])))
+        # the degeneracy rule is scale-free: a tiny full-rank cloud is no ridge case
+        for scale in (1e-9, 1e-100):
+            cases.append((round_cloud, scale * np.eye(2), np.zeros(2)))
         for pts, T, shift in cases:
             direct = mvee(pts @ T.T + shift).volume()
             mapped = abs(np.linalg.det(T)) * mvee(pts).volume()

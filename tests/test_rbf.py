@@ -8,6 +8,7 @@ from invset.rbf import (
     GAMMA_BALL,
     RBFSet,
     RbfSamplingError,
+    _inflate_to_feasibility,
     _offsets,
     _penalty_value_grad,
     fit_rbf,
@@ -119,6 +120,21 @@ class TestFit:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             fit_rbf(np.empty((0, 2)), m=1)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5])
+    def test_width_repair_at_gamma_one_or_more_scales_every_width_alike(self, gamma):
+        # no single bump reaches gamma >= 1, so the repair scales all widths
+        # by one factor, the smallest that covers every point
+        pts = np.random.default_rng(6).standard_normal((100, 2))
+        centers = np.array([[-0.5, 0.0], [0.5, 0.0]])
+        widths = np.array([0.3, 0.3])
+        assert not RBFSet(centers=centers, widths=widths, gamma=gamma).contains_batch(pts).all()
+        repaired = _inflate_to_feasibility(centers, widths, pts, gamma)
+        assert np.all(RBFSet(centers, repaired, gamma).values(pts) - gamma >= -1e-7)
+        factor = repaired[0] / widths[0]
+        assert factor > 1.0 and repaired[1] == factor * widths[1]
+        narrower = RBFSet(centers, repaired * (1.0 - 1e-9), gamma)
+        assert not narrower.contains_batch(pts).all()
 
 
 class TestSampling:
