@@ -33,7 +33,6 @@ from .hybrid import (
     contraction_init,
     fd_jacobian,
     find_fixed_point,
-    spectral_radius,
 )
 from .pac import PacCertificate, binomial_cdf, binomial_tail_inversion
 from .rbf import GAMMA_BALL, RbfSamplingError, RBFSet, fit_rbf
@@ -73,7 +72,6 @@ __all__ = [
     "mvee",
     "partition",
     "run",
-    "spectral_radius",
     "unit_ball_volume",
     "vectorized_poincare_map",
     "verify_k_step",

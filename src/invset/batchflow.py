@@ -26,7 +26,8 @@ from .hybrid import (
     checked_rows,
 )
 
-_RUNNING, _DONE, _FAIL_TIME, _FAIL_ESCAPE, _FAIL_REIMPACT, _FAIL_INVALID, _FAIL_FIELD = range(7)
+(_RUNNING, _DONE, _FAIL_TIME, _FAIL_ESCAPE, _FAIL_REIMPACT, _FAIL_INVALID, _FAIL_FIELD,
+ _FAIL_LOCALIZE) = range(8)
 
 # scipy.optimize.brentq's defaults
 _XTOL = 2e-12
@@ -160,7 +161,7 @@ def _localize(cb, options, stepper, rows, h_now, status, hit_state, hit_time):
     accepted[met[accept]] = True
     early = accepted & (t_root < options.t_min)
     done = accepted & ~early
-    status[rows[missed]] = _FAIL_TIME
+    status[rows[missed]] = _FAIL_LOCALIZE
     status[rows[early]] = _FAIL_REIMPACT
     status[rows[done]] = _DONE
     hit_state[rows[done]] = x_root[done]
@@ -228,6 +229,7 @@ _FAILURE_MESSAGES = {
     _FAIL_REIMPACT: (ImmediateReimpact, "guard crossing earlier than t_min"),
     _FAIL_INVALID: (InvalidSectionPoint, "state is not a valid section point"),
     _FAIL_FIELD: (GuardNotReached, "non-finite vector field: no step is small enough"),
+    _FAIL_LOCALIZE: (GuardNotReached, "guard crossing could not be localized to guard_tol"),
 }
 
 

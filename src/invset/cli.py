@@ -3,8 +3,8 @@
 Commands
 --------
 run <config.json>      identify an invariant set, write result/history/samples
-verify <result.json>   re-certify a finished run over k = 1..k_max map steps
-                       (k_max from --kmax, else the run's config.k_max)
+verify <result.json>   re-certify a finished run over k = 1..kmax map steps
+                       (--kmax, default 20)
 study <config.json>    repeat a run over consecutive seeds and aggregate
 systems                list built-in systems and their default parameters
 
@@ -45,6 +45,17 @@ OUTPUT_ROOT_ENV = "INVSET_OUTPUT_ROOT"
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
+
+
+# The exceptions that end a run (or one seed of a study) as `run failed: …`,
+# each with its hint, if any.
+_RUN_FAILURES = {
+    CollapseError: None,
+    RbfSamplingError: None,
+    UnstableLinearization: "the linearization at the fixed point must be contracting and "
+    "diagonalizable; check the fixed_point_seed or system parameters",
+    NoConvergence: "provide a better init.fixed_point_seed",
+}
 
 
 class ConfigError(ValueError):
@@ -99,7 +110,6 @@ _DEFAULTS = {
     "init": (_object, {"mode": "contraction"}),
     "integration": (_object, {}),
     "rbf": (_object, {}),
-    "k_max": (_INTEGER, 20),
     "output_dir": (_TEXT, "invset-run"),
 }
 
@@ -151,7 +161,6 @@ def validate_config(raw) -> dict:
         key: _checked(f"config.{key}", convert, raw.get(key, default))
         for key, (convert, default) in _DEFAULTS.items()
     }
-    _require(cfg["k_max"] >= 1, "k_max must be >= 1")
     for block, text_keys in _NUMERIC_BLOCKS.items():
         for key, value in cfg[block].items():
             if key not in text_keys:
@@ -328,10 +337,9 @@ def cmd_run(config_path) -> int:
     return EXIT_OK if result.history.termination == "certified" else EXIT_BUDGET
 
 
-def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
-    """k-step verification of a finished run; `k_max` None means the run's
-    config.k_max."""
-    if k_max is not None and k_max < 1:
+def cmd_verify(result_path, k_max: int, n_samples: int, seed: int) -> int:
+    """k-step verification of a finished run over k = 1..k_max."""
+    if k_max < 1:
         raise ConfigError(f"--kmax must be >= 1, got {k_max}")
     if n_samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {n_samples}")
@@ -353,8 +361,6 @@ def cmd_verify(result_path, k_max, n_samples: int, seed: int) -> int:
     bundle = build_system(cfg["system"], cfg["system_params"], options)
     dim = invariant_set.dim
     _require(dim == bundle.reduced_dim, f"invariant_set has dim {dim}, not {bundle.reduced_dim}")
-    if k_max is None:
-        k_max = cfg["k_max"]
     records = verify_k_step(
         bundle.poincare_map, invariant_set, n_samples, k_max, float(cfg["beta"]), seed
     )
@@ -378,7 +384,7 @@ def cmd_study(config_path, runs: int) -> int:
         try:
             result = run_config(cfg, bundle.poincare_map, initial, seed, store_samples=False)
             outcomes.append((seed, result))
-        except (CollapseError, RbfSamplingError) as exc:
+        except tuple(_RUN_FAILURES) as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
             print(f"seed {seed}: failed ({type(exc).__name__})", file=sys.stderr)
     if not outcomes:
@@ -441,7 +447,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="k-step verification of a finished run")
     p_verify.add_argument("result")
-    p_verify.add_argument("--kmax", type=int, help="largest k (default: the run's k_max)")
+    p_verify.add_argument("--kmax", type=int, default=20, help="largest k (default: 20)")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
 
@@ -466,21 +472,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (CollapseError, RbfSamplingError) as exc:
+    except tuple(_RUN_FAILURES) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except UnstableLinearization as exc:
-        print(
-            f"run failed: {exc}\nhint: the linearization at the fixed point must be "
-            "contracting and diagonalizable; check the fixed_point_seed or system parameters",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    except NoConvergence as exc:
-        print(
-            f"run failed: {exc}\nhint: provide a better init.fixed_point_seed",
-            file=sys.stderr,
-        )
+        hint = next(text for cls, text in _RUN_FAILURES.items() if isinstance(exc, cls))
+        if hint:
+            print(f"hint: {hint}", file=sys.stderr)
         return EXIT_ERROR
 
 

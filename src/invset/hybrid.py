@@ -221,10 +221,6 @@ def find_fixed_point(pmap, y0, tol: float = 1e-10, max_iters: int = 200) -> np.n
     )
 
 
-def spectral_radius(matrix) -> float:
-    return float(np.abs(np.linalg.eigvals(np.asarray(matrix, dtype=float))).max())
-
-
 def _sqrtm_spd(matrix: np.ndarray) -> np.ndarray:
     w, vecs = np.linalg.eigh(matrix)
     root = (vecs * np.sqrt(np.maximum(w, 0.0))) @ vecs.T

@@ -168,14 +168,18 @@ class CompassGaitParams:
 # state along the last axis.
 
 
+def _cg_mass(x, p: CompassGaitParams):
+    """Entries (h11, h12, h22) of the symmetric mass matrix H at the angles
+    (theta_sw, theta_st) = (x[..., 0], x[..., 1]); h11 and h22 are constant."""
+    h12 = -(p.m * p.l * p.b) * np.cos(x[..., 1] - x[..., 0])
+    return p.m * p.b * p.b, h12, (p.m_h + p.m) * p.l * p.l + p.m * p.a * p.a
+
+
 def _cg_vector_field(x, p: CompassGaitParams):
     th_sw, th_st, w_sw, w_st = (x[..., i] for i in range(4))
+    h11, h12, h22 = _cg_mass(x, p)
     sin_d = np.sin(th_st - th_sw)
-    cos_d = np.cos(th_st - th_sw)
     mlb = p.m * p.l * p.b
-    h11 = p.m * p.b * p.b
-    h12 = -mlb * cos_d
-    h22 = (p.m_h + p.m) * p.l * p.l + p.m * p.a * p.a
     # H qdd = -(C qd + G); 2x2 solve in closed form
     r1 = -mlb * sin_d * w_st * w_st - p.m * p.g * p.b * np.sin(th_sw)
     r2 = mlb * sin_d * w_sw * w_sw + (p.m_h * p.l + p.m * (p.a + p.l)) * p.g * np.sin(th_st)
@@ -254,28 +258,26 @@ def _cg_chart_inverse(y, p: CompassGaitParams):
 
 
 def compass_mass_matrix(q, p: CompassGaitParams) -> np.ndarray:
-    cos_d = math.cos(q[1] - q[0])
-    mlb = p.m * p.l * p.b
-    return np.array(
-        [
-            [p.m * p.b * p.b, -mlb * cos_d],
-            [-mlb * cos_d, (p.m_h + p.m) * p.l * p.l + p.m * p.a * p.a],
-        ]
-    )
+    """H at the angles q (..., 2), or at the angles of states (..., 4): (..., 2, 2)."""
+    h11, h12, h22 = np.broadcast_arrays(*_cg_mass(np.asarray(q, dtype=float), p))
+    return np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
 
 
-def compass_kinetic_energy(x, p: CompassGaitParams) -> float:
-    qd = np.asarray(x[2:], dtype=float)
-    return 0.5 * float(qd @ compass_mass_matrix(x[:2], p) @ qd)
+def compass_kinetic_energy(x, p: CompassGaitParams):
+    x = np.asarray(x, dtype=float)
+    h11, h12, h22 = _cg_mass(x, p)
+    w_sw, w_st = x[..., 2], x[..., 3]
+    return 0.5 * ((h11 * w_sw + h12 * w_st) * w_sw + (h12 * w_sw + h22 * w_st) * w_st)
 
 
-def compass_potential_energy(x, p: CompassGaitParams) -> float:
+def compass_potential_energy(x, p: CompassGaitParams):
+    x = np.asarray(x, dtype=float)
     return p.g * (
-        (p.m * p.a + p.m_h * p.l + p.m * p.l) * math.cos(x[1]) - p.m * p.b * math.cos(x[0])
+        (p.m * p.a + p.m_h * p.l + p.m * p.l) * np.cos(x[..., 1]) - p.m * p.b * np.cos(x[..., 0])
     )
 
 
-def compass_total_energy(x, p: CompassGaitParams) -> float:
+def compass_total_energy(x, p: CompassGaitParams):
     return compass_kinetic_energy(x, p) + compass_potential_energy(x, p)
 
 

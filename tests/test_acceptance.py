@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from invset.algorithm import run, verify_k_step
+from invset.algorithm import verify_k_step
 from invset.ellipsoid import Ellipsoid, mvee
 from invset.batchflow import integrate_to_guard
 from invset.cli import run_config
@@ -33,11 +33,11 @@ from tests.test_cli import run_cli_with_blas_threads
 from tests.test_pac import direct_sum_cdf
 
 E0_DISK = Ellipsoid.ball(math.sqrt(10), [0.0, 0.0])
-E0_INIT = {"mode": "explicit", "ellipsoid": E0_DISK.to_dict()}  # of the shipped nec profiles
+E0_INIT = {"mode": "explicit", "ellipsoid": E0_DISK.to_dict()}  # of the shipped cec and nec
 CEC_SAMPLES = 1000
 CEC_EPS = 0.03
 CEC_BETA = 1e-9
-CEC_MAX_ITERS = 60
+CEC_MAX_ITERS = 100
 NEC_SAMPLES = 2000  # holdout size of the shipped NEC profile
 COMPASS_SCALE = 5.2  # contraction inflation of the shipped walker profile
 
@@ -49,11 +49,11 @@ def report(number, name, ok, detail):
 
 @pytest.fixture(scope="session")
 def cec_runs():
-    pmap = cec_poincare_map()
-    return [
-        run(pmap, E0_DISK, CEC_SAMPLES, CEC_EPS, CEC_BETA, CEC_MAX_ITERS, seed=s)
-        for s in range(10)
-    ]
+    cfg, bundle, initial, _, _ = prepare_shipped(
+        "cec", N=CEC_SAMPLES, eps_target=CEC_EPS, beta=CEC_BETA, max_iters=CEC_MAX_ITERS, seed=0,
+        init=E0_INIT, representation="ellipsoid",
+    )
+    return [run_config(cfg, bundle.poincare_map, initial, s, False) for s in range(10)]
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "mvee",
     "partition",
     "run",
-    "spectral_radius",
     "unit_ball_volume",
     "vectorized_poincare_map",
     "verify_k_step",
@@ -79,6 +78,8 @@ def test_one_system_interface_is_exported():
         ("invset.pac", "certify"),
         ("invset", "sample_uniform_rbf"),
         ("invset.rbf", "sample_uniform_rbf"),
+        ("invset", "spectral_radius"),
+        ("invset.hybrid", "spectral_radius"),
     ],
 )
 def test_removed_names_are_gone(module, name):

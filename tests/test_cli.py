@@ -76,6 +76,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="samples"):
             load_config(file)
 
+    def test_k_max_is_an_unknown_key(self, tmp_path, capsys):
+        # verify's --kmax is the only setting of the largest k
+        assert main(["run", str(write_config(tmp_path, k_max=20))]) == EXIT_ERROR
+        assert capsys.readouterr().err == "config error: unknown key(s) ['k_max'] in config\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_beta_exits_one(self, tmp_path, capsys):
         file = write_config(tmp_path, beta=1.5)
         assert main(["run", str(file)]) == EXIT_ERROR
@@ -133,7 +139,6 @@ class TestConfigValidation:
             {"N": 1000.9},
             {"seed": True},
             {"max_iters": "7"},
-            {"k_max": 2.5},
             {"eps_target": "0.05"},
             {"representation": "voxel"},
             {"max_iters": 0},
@@ -157,7 +162,7 @@ class TestConfigValidation:
             "init.r", "init.r-inf", "init.fixed_point_seed",
             "rbf.m", "rbf.gamma", "rbf.gamma-above-m", "integration.rel_tol", "system_params-unknown", "system_params-shape",
             "init.ellipsoid-dim", "integration.rel_tol-nan", "N-below-dim-plus-one", "output_dir-not-a-string",
-            "system_params-nan", "N-float", "seed-bool", "max_iters-string", "k_max-float",
+            "system_params-nan", "N-float", "seed-bool", "max_iters-string",
             "eps_target-string", "representation-unknown", "max_iters-zero",
             "init.r-string", "init.fixed_point_seed-strings", "system_params-strings",
             "integration.rel_tol-bool", "rbf.gamma-bool", "init.ellipsoid-dim-string",
@@ -200,6 +205,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "not diagonalizable" in err and "diagonalizable;" in err
         assert "not attracting" not in err
+
+    def test_fixed_point_search_failure_hint(self, tmp_path, capsys):
+        init = {"mode": "contraction", "fixed_point_seed": [0, 0, 0]}
+        file = write_config(tmp_path, system="compass_gait", init=init)
+        assert main(["run", str(file)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "run failed: map evaluation failed at the initial guess: state is not a valid "
+            "section point\nhint: provide a better init.fixed_point_seed\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_only_the_rk45_method_exists(self, tmp_path):
         # rk45, the batched engine's Dormand-Prince 5(4) pair, is the only method
@@ -470,13 +485,13 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "kstep.csv").exists()
 
-    def test_kmax_defaults_to_the_runs_k_max(self, tmp_path):
-        file = write_config(tmp_path, k_max=3)
+    def test_kmax_defaults_to_20(self, tmp_path):
+        file = write_config(tmp_path)
         main(["run", str(file)])
         result = tmp_path / "out" / "result.json"
         assert main(["verify", str(result), "--samples", "200"]) == EXIT_OK
         lines = (tmp_path / "out" / "kstep.csv").read_text().splitlines()
-        assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 21))
 
     def test_missing_result_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == EXIT_ERROR
@@ -506,6 +521,16 @@ class TestStudyCommand:
         assert "seed 0: failed (RbfSamplingError)" in err
         assert "seed 1: failed (RbfSamplingError)" in err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_budget_exit_code(self, tmp_path):
+        file = write_config(tmp_path, N=200, max_iters=1)
+        assert main(["study", str(file), "--runs", "2"]) == EXIT_BUDGET
+        out = tmp_path / "out"
+        assert sorted(path.name for path in out.iterdir()) == [
+            "study_config.json", "study_runs.csv", "study_summary.csv"
+        ]
+        rows = (out / "study_runs.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["budget", "budget"]
 
     def test_single_run_rejected(self, tmp_path, capsys):
         file = write_config(tmp_path)

@@ -14,6 +14,7 @@ from invset.batchflow import (
     vectorized_poincare_map,
 )
 from invset.hybrid import (
+    FiniteDifferenceWarning,
     GuardNotReached,
     ImmediateReimpact,
     IntegrationOptions,
@@ -25,7 +26,6 @@ from invset.hybrid import (
     contraction_init,
     fd_jacobian,
     find_fixed_point,
-    spectral_radius,
 )
 from invset.systems import COMPASS_GAIT_SECTION_SEED, cec_poincare_map
 
@@ -303,6 +303,14 @@ class TestJacobian:
         assert np.array_equal(fd_jacobian(pmap, y, f0=base, check=check), reference)
 
 
+    def test_kink_warns_that_the_differences_disagree(self):
+        # |y| at 0: the forward difference is 1, the central difference 0
+        pmap = PoincareMap.from_function(np.abs, 1)
+        with pytest.warns(FiniteDifferenceWarning, match="disagree"):
+            J = fd_jacobian(pmap, np.array([0.0]))
+        assert J.tolist() == [[1.0]]
+
+
 class TestContractionInit:
     def test_isotropic_contraction_gives_ball(self):
         E = contraction_init(0.5 * np.eye(2), r=3.0)
@@ -311,7 +319,7 @@ class TestContractionInit:
 
     def test_diagonal_case_satisfies_rate_inequality(self):
         J = np.diag([0.9, 0.1])
-        rate = spectral_radius(J)
+        rate = np.abs(np.linalg.eigvals(J)).max()
         E = contraction_init(J, r=2.0)
         P = (2.0 * E.A) @ (2.0 * E.A)
         gap = (rate**2 + 1e-8) * P - J.T @ P @ J
@@ -322,8 +330,8 @@ class TestContractionInit:
         rng = np.random.default_rng(4)
         for _ in range(10):
             J = rng.standard_normal((3, 3))
-            J *= 0.8 / spectral_radius(J)
-            rate = spectral_radius(J)
+            J *= 0.8 / np.abs(np.linalg.eigvals(J)).max()
+            rate = np.abs(np.linalg.eigvals(J)).max()
             E = contraction_init(J, r=2.0, center=rng.standard_normal(3))
             P = (2.0 * E.A) @ (2.0 * E.A)
             gap = (rate**2 + 1e-8) * P - J.T @ P @ J
@@ -498,8 +506,10 @@ def test_failed_localization_fails_only_its_row():
     assert np.isnan(out[1]).all()
     assert np.array_equal(out[0], pmap(np.array([-1.0])))
     assert out[0][0] == -1.0
-    with pytest.raises(GuardNotReached):
+    with pytest.raises(GuardNotReached, match="could not be localized"):
         pmap(np.array([1.0]))
+    with pytest.raises(GuardNotReached, match="could not be localized"):
+        integrate_to_guard(nan_guard_system(), np.array([0.0, 1.0]))
 
 
 def holeless_guard_system(**fields):

@@ -18,6 +18,7 @@ from invset.systems import (
     cec_true_invariant_set,
     compass_kinetic_energy,
     compass_mass_matrix,
+    compass_potential_energy,
     compass_total_energy,
     nec_map,
     nec_poincare_map,
@@ -149,6 +150,15 @@ class TestCompassGait:
             q = rng.uniform(-0.8, 0.8, size=2)
             eigs = np.linalg.eigvalsh(compass_mass_matrix(q, compass_params))
             assert eigs.min() > 0
+
+    def test_mechanics_take_a_batch_row_for_row(self, compass_params):
+        rng = np.random.default_rng(5)
+        x = np.array([0.2, -0.3, -1.5, -1.4]) + 0.3 * rng.standard_normal((50, 4))
+        for energy in (compass_kinetic_energy, compass_potential_energy, compass_total_energy):
+            rows = [energy(row, compass_params) for row in x]
+            assert np.array_equal(energy(x, compass_params), rows)
+        rows = [compass_mass_matrix(row[:2], compass_params) for row in x]
+        assert np.array_equal(compass_mass_matrix(x, compass_params), rows)
 
     def test_settled_gait_is_periodic(self, compass_map):
         y = COMPASS_GAIT_SECTION_SEED.copy()
