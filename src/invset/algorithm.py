@@ -141,6 +141,14 @@ def check_run_settings(n_samples, dim, eps_target, beta, max_iters, representati
         raise ValueError(f"unknown representation {representation!r}")
 
 
+def _check_dim(pmap: PoincareMap, invariant_set):
+    """Raise ValueError unless `invariant_set` lives in the map's reduced space."""
+    if invariant_set.dim != pmap.reduced_dim:
+        raise ValueError(
+            f"the set has dim {invariant_set.dim} but the map's reduced dim is {pmap.reduced_dim}"
+        )
+
+
 def evaluate_map(pmap: PoincareMap, points: np.ndarray, k: int = 1):
     """Apply k steps of the map to every row of `points`.
 
@@ -197,11 +205,13 @@ def run(
     inputs and continues.  When the iteration budget runs out, the iterate
     with the smallest observed bound is returned with termination "budget".
 
-    Raises CollapseError when fewer than dim + 1 samples survive a partition,
-    which means the candidate lost the invariant set (enlarge the initial
-    set, e.g. with a bigger contraction scale r).
+    Raises ValueError, before any draw, when `initial_set` and the map differ
+    in dimension.  Raises CollapseError when fewer than dim + 1 samples
+    survive a partition, which means the candidate lost the invariant set
+    (enlarge the initial set, e.g. with a bigger contraction scale r).
     """
     check_run_settings(n_samples, pmap.reduced_dim, eps_target, beta, max_iters, representation)
+    _check_dim(pmap, initial_set)
     options = rbf_options or RbfOptions()
     candidate = initial_set
     records = []
@@ -273,10 +283,12 @@ def verify_k_step(
     or failed (`exits`, `epsilon_star_exit`, both non-decreasing in k).  The
     batch is i.i.d. from the set, so each per-k bound holds at confidence
     1 - beta on its own; the records share one batch, so a statement about
-    all k at once needs a union bound over k.
+    all k at once needs a union bound over k.  A set whose dimension differs
+    from the map's raises ValueError before any draw.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_dim(pmap, invariant_set)
     points, _ = _draw(invariant_set, n_samples, seed, _VERIFY_CONTEXT_BASE)
     images = points.copy()
     alive = np.ones(n_samples, dtype=bool)

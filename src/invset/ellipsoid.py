@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .rng import rewind, sample_stream
+from .rng import fresh_state, rewind, sample_stream
 
 _SYMMETRY_TOL = 1e-10
 
@@ -93,15 +93,18 @@ class Ellipsoid:
         (seed, context, i): a Gaussian direction is normalized to the unit
         sphere, scaled by U^(1/dim) for uniformity in the ball, then mapped
         through A^{-1}(z + b) using the cached factorization of A.  One
-        generator is made per call and rewound per point (`rng.rewind`), so
-        point i consumes exactly the words of `sample_stream(seed, context, i)`.
-        Results are identical however many points are drawn.
+        generator is made per call, its state is taken once as plain ints
+        (`rng.fresh_state`), and each point resets it by writing one counter
+        word (`rng.rewind`), so point i consumes exactly the words of
+        `sample_stream(seed, context, i)`.  Results are identical however
+        many points are drawn.
         """
         if n < 1:
             raise ValueError("need n >= 1")
         d = self.dim
         stream = sample_stream(seed, context, 0)
-        fresh = stream.bit_generator.state
+        fresh = fresh_state(stream)
+        normal, uniform = stream.standard_normal, stream.random
         inv_d = 1.0 / d
         g = np.empty((n, d))
         radius = np.empty(n)
@@ -109,8 +112,8 @@ class Ellipsoid:
         # SIMD array power differs from it in the last bit on some inputs.
         for i in range(n):
             rewind(stream, fresh, i)
-            stream.standard_normal(out=g[i])
-            radius[i] = stream.random() ** inv_d
+            normal(out=g[i])
+            radius[i] = uniform() ** inv_d
         # Stacked matmul reduces each row in the order np.linalg.norm does;
         # einsum and sum(axis=1) do not, and would change the last bit.
         norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
@@ -118,9 +121,9 @@ class Ellipsoid:
             # probability-zero guard: redraw the row with a stream-local retry
             rewind(stream, fresh, i)
             while norm[i] == 0.0:
-                stream.standard_normal(out=g[i])
+                normal(out=g[i])
                 norm[i] = np.linalg.norm(g[i])
-            radius[i] = stream.random() ** inv_d
+            radius[i] = uniform() ** inv_d
         ball = (radius / norm)[:, None] * g
         return cho_solve(self._chol, (ball + self.b).T).T
 

@@ -9,7 +9,19 @@ lower binomial tail at (v, N) still reaches the confidence level beta.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import betainc, betaincinv
+
+
+def _check_counts(v, n):
+    """Raise ValueError unless 0 <= v <= n are Python or numpy integers; a
+    bool is no count.  A type test, because `isinstance(v, numbers.Integral)`
+    costs about a third of the incomplete beta function it guards."""
+    for name, count in (("v", v), ("n", n)):
+        if type(count) is not int and not isinstance(count, np.integer):
+            raise ValueError(f"{name} must be an integer count, got {count!r}")
+    if not 0 <= v <= n:
+        raise ValueError(f"need 0 <= v <= n, got v={v}, n={n}")
 
 
 def binomial_cdf(v: int, n: int, e: float) -> float:
@@ -19,8 +31,7 @@ def binomial_cdf(v: int, n: int, e: float) -> float:
     accurate for n up to 1e7 where the naive sum over binomial terms
     overflows.
     """
-    if not 0 <= v <= n:
-        raise ValueError(f"need 0 <= v <= n, got v={v}, n={n}")
+    _check_counts(v, n)
     if not 0.0 <= e <= 1.0:
         raise ValueError(f"violation probability must be in [0, 1], got {e}")
     if v == n or e == 0.0:
@@ -39,8 +50,7 @@ def binomial_tail_inversion(v: int, n: int, beta: float) -> float:
     infeasible.  The returned value is feasible while any e larger by 1e-9
     is not, so the bound is tight.
     """
-    if not 0 <= v <= n:
-        raise ValueError(f"need 0 <= v <= n, got v={v}, n={n}")
+    _check_counts(v, n)
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"confidence level must be in (0, 1], got {beta}")
     if v == n:

@@ -38,6 +38,13 @@ def _push_away(y):
 
 IDENTITY_MAP = PoincareMap.from_function(_identity, 2)
 
+# sets that do not live in the 2-D reduced space of the cec map
+WRONG_DIM_SETS = [
+    Ellipsoid.ball(1.0, [1.0, 1.0, 0.0]),
+    Ellipsoid.ball(1.0, [1.0]),
+    RBFSet(centers=[[1.0]], widths=[1.0], gamma=0.5),
+]
+
 
 class TestPartition:
     def test_all_at_center(self):
@@ -190,6 +197,9 @@ class TestRun:
             run(IDENTITY_MAP, E0, 1000, 0.03, 0.0, 10, seed=0)
         with pytest.raises(ValueError):
             run(IDENTITY_MAP, E0, 2, 0.03, 1e-9, 10, seed=0)
+        for wrong_dim in WRONG_DIM_SETS:
+            with pytest.raises(ValueError, match=rf"dim {wrong_dim.dim} .*reduced dim is 2"):
+                run(cec_poincare_map(), wrong_dim, 1000, 0.03, 1e-9, 10, seed=0)
 
     @pytest.mark.parametrize(
         "options",
@@ -350,6 +360,11 @@ class TestVerifyKStep:
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         records = verify_k_step(IDENTITY_MAP, E, 100, 5, 1e-6, seed=13)
         assert [rec.steps for rec in records] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("wrong_dim", WRONG_DIM_SETS, ids=["ball-3d", "ball-1d", "rbf-1d"])
+    def test_dimension_mismatch_rejected(self, wrong_dim):
+        with pytest.raises(ValueError, match=rf"dim {wrong_dim.dim} .*reduced dim is 2"):
+            verify_k_step(cec_poincare_map(), wrong_dim, 100, 3, 1e-6, seed=13)
 
     @pytest.mark.parametrize(
         "make, n, k_max",

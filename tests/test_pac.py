@@ -25,6 +25,12 @@ def direct_sum_cdf(v, n, e):
     return min(total, 1.0)
 
 
+# (v, n) pairs that are no counts: non-integral, or a bool read as 0 or 1
+NON_COUNTS = [
+    (1.5, 10), (1.0, 10), (2, 10.0), (True, 10), (0, True), (np.True_, 10), (np.float64(3.0), 10)
+]
+
+
 class TestBinomialCdf:
     def test_zero_rate_never_violates(self):
         for v, n in [(0, 10), (3, 10), (0, 1)]:
@@ -61,11 +67,30 @@ class TestBinomialCdf:
             binomial_cdf(5, 3, 0.5)
         with pytest.raises(ValueError):
             binomial_cdf(1, 3, 1.5)
+        for v, n in NON_COUNTS:
+            with pytest.raises(ValueError, match="integer count"):
+                binomial_cdf(v, n, 0.5)
+
+    def test_accepts_numpy_integers(self):
+        assert binomial_cdf(np.int64(1), np.int32(2), 0.5) == binomial_cdf(1, 2, 0.5)
 
 
 class TestTailInversion:
     def test_all_violations_gives_one(self):
         assert binomial_tail_inversion(7, 7, 0.5) == 1.0
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            binomial_tail_inversion(5, 3, 0.5)
+        with pytest.raises(ValueError):
+            binomial_tail_inversion(1, 3, 0.0)
+        for v, n in NON_COUNTS:
+            with pytest.raises(ValueError, match="integer count"):
+                binomial_tail_inversion(v, n, 0.1)
+
+    def test_accepts_numpy_integers(self):
+        expected = binomial_tail_inversion(3, 100, 1e-6)
+        assert binomial_tail_inversion(np.int64(3), np.int64(100), 1e-6) == expected
 
     def test_zero_violation_closed_form(self):
         for n, beta in [(1000, 1e-9), (100, 0.05), (500, 1e-6), (10, 0.2)]:
