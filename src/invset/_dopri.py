@@ -95,8 +95,10 @@ class BatchStepper:
 
     Use `active` to see which rows still run, call `step()` to advance every
     active row by one attempted step, then inspect `accepted_rows` and
-    `stalled_rows`; `segment(rows)` gives the dense output of the last step
-    for some of them, for event handling.  Rows are retired with
+    `stalled_rows`, the rows whose step was rejected at the smallest step
+    size (a non-finite field, or an error test failing there), which a retry
+    would repeat unchanged; `segment(rows)` gives the dense output of the
+    last step for some rows, for event handling.  Rows are retired with
     `finish(rows)`.
     """
 
@@ -131,9 +133,6 @@ class BatchStepper:
         """Attempt one step on every active row; sets `accepted_rows` and
         `stalled_rows`."""
         rows = np.flatnonzero(self.active)
-        if rows.size == 0:
-            self.accepted_rows = self.stalled_rows = rows
-            return
         t = self.t[rows]
         y = self.y[rows]
         f0 = self.f[rows]
@@ -171,6 +170,4 @@ class BatchStepper:
         self.h[rows] = h * factor
         self.rejected_last[rows] = ~accept
         self.accepted_rows = acc_rows
-        # a non-finite error at the smallest step (or a NaN step) cannot be
-        # cured by shrinking: the vector field is non-finite there
-        self.stalled_rows = rows[~finite & ~(h > tiny)]
+        self.stalled_rows = rows[~accept & ~(h > tiny)]

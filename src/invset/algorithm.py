@@ -203,7 +203,8 @@ def run(
     *current* candidate as soon as the bound reaches `eps_target` (its
     scoring samples predate any refit); otherwise refits to the retained
     inputs and continues.  When the iteration budget runs out, the iterate
-    with the smallest observed bound is returned with termination "budget".
+    with the smallest observed bound (the first, on a tie) is returned with
+    termination "budget".
 
     Raises ValueError, before any draw, when `initial_set` and the map differ
     in dimension.  Raises CollapseError when fewer than dim + 1 samples
@@ -215,7 +216,6 @@ def run(
     options = rbf_options or RbfOptions()
     candidate = initial_set
     records = []
-    best_index = 0
     for iteration in range(1, max_iters + 1):
         started = time.perf_counter()
         volume, batch, eps_star = _score(pmap, candidate, n_samples, beta, seed, iteration)
@@ -247,13 +247,11 @@ def run(
                 batch=batch if store_samples else None,
             )
         )
-        if eps_star < records[best_index].epsilon_star:
-            best_index = len(records) - 1
         if certified:
-            break  # a certified bound beats every earlier one: best is this record
+            break
         candidate = refitted
 
-    best = records[best_index]
+    best = min(records, key=lambda r: r.epsilon_star)
     certificate = PacCertificate(
         violations=best.violations,
         samples=n_samples,

@@ -188,9 +188,8 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
     )
     stepper.finish(np.flatnonzero(bad))
 
-    # generous deterministic cap on step attempts so a pathological row (e.g.
-    # one whose smallest step keeps failing its error test) cannot stall the
-    # batch forever
+    # generous deterministic cap on step attempts: a row that keeps accepting
+    # steps of the smallest size could otherwise run the batch for very long
     for _ in range(1_000_000):
         if not stepper.active.any():
             break
@@ -228,7 +227,8 @@ _FAILURE_MESSAGES = {
     _FAIL_ESCAPE: (GuardNotReached, "trajectory escaped the operating region"),
     _FAIL_REIMPACT: (ImmediateReimpact, "guard crossing earlier than t_min"),
     _FAIL_INVALID: (InvalidSectionPoint, "state is not a valid section point"),
-    _FAIL_FIELD: (GuardNotReached, "non-finite vector field: no step is small enough"),
+    _FAIL_FIELD: (GuardNotReached, "no step is small enough: non-finite vector field, "
+                                   "or an error test that fails at the smallest step"),
     _FAIL_LOCALIZE: (GuardNotReached, "guard crossing could not be localized to guard_tol"),
 }
 
@@ -248,10 +248,11 @@ def integrate_to_guard(
     skipped and the flow continues.
 
     Raises GuardNotReached when the time budget runs out, the trajectory
-    escapes, `x_plus` lies outside the domain, the vector field is
-    non-finite on the way or a crossing cannot be localized to guard_tol (a
-    NaN guard value, or no sign change on the interpolant), and
-    ImmediateReimpact for an accepted crossing before t_min.
+    escapes, `x_plus` lies outside the domain, no step is small enough to
+    pass the error test (a non-finite vector field on the way, or an error
+    test that fails at the smallest step) or a crossing cannot be localized
+    to guard_tol (a NaN guard value, or no sign change on the interpolant),
+    and ImmediateReimpact for an accepted crossing before t_min.
     """
     states, times, status = _flow_batch(cb, np.asarray(x_plus, dtype=float)[None, :], options)
     if status[0] == _FAIL_INVALID:

@@ -235,8 +235,6 @@ def _write_samples(outdir: Path, history, dim: int):
     samples_dir.mkdir(exist_ok=True)
     header = ",".join([*(f"x{i}" for i in range(dim)), *(f"y{i}" for i in range(dim)), "contained"])
     for rec in history.records:
-        if rec.batch is None:
-            continue
         pairs = np.hstack((rec.batch.inputs, rec.batch.outputs)).tolist()
         rows = [[*pair, int(flag)] for pair, flag in zip(pairs, rec.batch.flags.tolist())]
         _write_csv(samples_dir / f"iter_{rec.iteration:04d}.csv", header, rows)

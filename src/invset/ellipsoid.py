@@ -6,6 +6,7 @@ is ``V_dim / det(A)`` where ``V_dim`` is the unit-ball volume.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -263,8 +264,10 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     if not np.all(np.isfinite(pts)):
         raise ValueError("mvee requires finite points")
     n, d = pts.shape
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         origin = pts.mean(axis=0)

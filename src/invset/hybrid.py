@@ -149,8 +149,8 @@ def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True)
     n = y.size
     if eps is None:
         eps = 1e-6 * max(1.0, float(np.linalg.norm(y)))
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    elif not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     steps = eps * np.eye(n)
     stack = [y + steps] + ([y - steps] if check else []) + ([y[None]] if f0 is None else [])
     images = np.asarray(pmap(np.concatenate(stack)), dtype=float)
@@ -179,6 +179,9 @@ def find_fixed_point(pmap, y0, tol: float = 1e-10, max_iters: int = 200) -> np.n
     falling back to damped steps whenever a Newton step fails or does not
     reduce the residual.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
     def trial(point):
         """(point, P(point), ||P(point) - point||); raises where the map fails."""
         image = np.asarray(pmap(point), dtype=float)

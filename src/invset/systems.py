@@ -321,9 +321,8 @@ COMPASS_GAIT_SECTION_SEED = np.array([0.2186688, -1.8056789, -1.4942049])
 
 @dataclass(frozen=True, eq=False)
 class SystemBundle:
-    """A named benchmark wired up for the identification pipeline."""
+    """A benchmark system wired up for the identification pipeline."""
 
-    name: str
     poincare_map: PoincareMap
     params: object
     fixed_point_seed: np.ndarray = None
@@ -362,7 +361,6 @@ def build_system(
     except TypeError as exc:  # an unknown key or a value of the wrong type
         raise ValueError(f"{name} parameters: {exc}") from exc
     return SystemBundle(
-        name=name,
         poincare_map=make_map(params, integration),
         params=params,
         fixed_point_seed=seed_of(params),

@@ -47,6 +47,11 @@ WRONG_DIM_SETS = [
 
 
 class TestPartition:
+    def test_unpaired_rows_rejected(self):
+        E = Ellipsoid.ball(1.0, [0.0, 0.0])
+        with pytest.raises(ValueError, match="pair up"):
+            partition(E, np.zeros((3, 2)), np.zeros((2, 2)))
+
     def test_all_at_center(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         inputs = np.random.default_rng(0).uniform(-0.5, 0.5, size=(20, 2))
@@ -360,6 +365,10 @@ class TestVerifyKStep:
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         records = verify_k_step(IDENTITY_MAP, E, 100, 5, 1e-6, seed=13)
         assert [rec.steps for rec in records] == [1, 2, 3, 4, 5]
+
+    def test_no_steps_rejected(self):
+        with pytest.raises(ValueError, match="k_max"):
+            verify_k_step(IDENTITY_MAP, Ellipsoid.ball(1.0, [0.0, 0.0]), 100, 0, 1e-6, seed=13)
 
     @pytest.mark.parametrize("wrong_dim", WRONG_DIM_SETS, ids=["ball-3d", "ball-1d", "rbf-1d"])
     def test_dimension_mismatch_rejected(self, wrong_dim):

@@ -109,6 +109,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="coverage"):
             load_config(file)
 
+    def test_missing_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "nope.json")
+
     def test_init_validation(self, tmp_path):
         file = write_config(tmp_path, init={"mode": "guess"})
         with pytest.raises(ConfigError, match="mode"):
@@ -502,6 +506,12 @@ class TestVerifyCommand:
         result.write_text("5")
         assert main(["verify", str(result)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_result_without_an_invariant_set(self, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({"config": {"system": "cec"}}))
+        assert main(["verify", str(result)]) == EXIT_ERROR
+        assert "missing 'invariant_set'" in capsys.readouterr().err
 
 
 class TestStudyCommand:

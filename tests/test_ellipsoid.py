@@ -103,6 +103,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             Ellipsoid(A=np.array([[1.0, 0.0], [0.0, -1.0]]), b=np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "A, b, message",
+        [
+            (np.eye(2), np.zeros(3), "inconsistent shapes"),
+            (np.ones((2, 3)), np.zeros(2), "inconsistent shapes"),
+            (np.array([[1.0, 0.0], [0.0, np.nan]]), np.zeros(2), "non-finite"),
+            (np.eye(2), np.array([np.inf, 0.0]), "non-finite"),
+        ],
+        ids=["b-of-3", "A-2x3", "nan-A", "inf-b"],
+    )
+    def test_malformed_parameters_rejected(self, A, b, message):
+        with pytest.raises(ValueError, match=message):
+            Ellipsoid(A=A, b=b)
+
     def test_center_solves_offset(self):
         rng = np.random.default_rng(5)
         B = rng.standard_normal((3, 3))
@@ -180,6 +194,10 @@ class TestSampling:
     def test_context_separates_batches(self):
         E = Ellipsoid.ball(1.0, [0.0, 0.0])
         assert not np.array_equal(E.sample(10, seed=9, context=1), E.sample(10, seed=9, context=2))
+
+    def test_empty_draw_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            Ellipsoid.ball(1.0, [0.0, 0.0]).sample(0, seed=9)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 7, 1000])

@@ -183,6 +183,18 @@ class TestFixedPoint:
         star = find_fixed_point(pmap, np.array([1.0]))
         assert star[0] == pytest.approx(-1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_bad_tolerance_before_any_map_call(self, tol):
+        calls = []
+
+        def counting(y):
+            calls.append(np.shape(y))
+            return y
+
+        with pytest.raises(ValueError, match="tol"):
+            find_fixed_point(counting, np.array([1.0]), tol=tol)
+        assert calls == []
+
     def test_no_convergence_without_fixed_point(self):
         pmap = PoincareMap.from_function(lambda y: y + 1.0, 1)
         with pytest.raises(NoConvergence):
@@ -276,6 +288,12 @@ class TestJacobian:
         J = fd_jacobian(pmap, np.array([2.0]), eps=1e-7)
         assert J[0, 0] == pytest.approx(4.0, abs=1e-5)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-7, math.inf, math.nan])
+    def test_rejects_a_bad_step(self, eps):
+        pmap = PoincareMap.from_function(lambda y: y**2, 1)
+        with pytest.raises(ValueError, match="eps"):
+            fd_jacobian(pmap, np.array([2.0]), eps=eps)
+
     @pytest.mark.parametrize("check", [True, False], ids=["check", "no-check"])
     @pytest.mark.parametrize("name", ["walker", "cec"])
     def test_one_map_call_equals_the_column_loop(self, name, check, request):
@@ -346,6 +364,11 @@ class TestContractionInit:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableLinearization):
             contraction_init(1.1 * np.eye(2), r=2.0)
+
+    @pytest.mark.parametrize("jacobian", [np.zeros((2, 3)), np.zeros(2)], ids=["2x3", "vector"])
+    def test_non_square_jacobian_rejected(self, jacobian):
+        with pytest.raises(ValueError, match="square"):
+            contraction_init(jacobian, r=2.0)
 
     def test_normal_jacobian_gives_ball(self):
         # a normal J contracts at its spectral radius in the Euclidean norm
@@ -535,6 +558,30 @@ def test_non_finite_vector_field_fails_only_its_row(hole_from):
     assert np.array_equal(out[0], pmap(np.array([-1.0])))
     with pytest.raises(GuardNotReached, match="non-finite vector field"):
         pmap(np.array([1.0]))
+
+
+def test_error_test_failing_at_the_smallest_step_stalls_the_row():
+    # a finite field so stiff that even the smallest step fails its error
+    # test: the retry would repeat the same rejected step forever
+    calls = []
+
+    def field(x):
+        calls.append(x.shape[0])
+        assert len(calls) <= 100, "the engine keeps retrying a step it cannot take"
+        return 1e100 * np.sin(1e3 * x)
+
+    never = BatchHybridCallbacks(
+        state_dim=1,
+        reduced_dim=1,
+        vector_field=field,
+        guard=lambda x: _constant(1.0, x),
+        guard_velocity=lambda x: _constant(-1.0, x),
+        reset=_identity,
+        chart=_identity,
+        chart_inverse=_identity,
+    )
+    with pytest.raises(GuardNotReached, match="no step is small enough"):
+        integrate_to_guard(never, np.array([0.5]))
 
 
 def test_non_finite_chart_image_fails_its_row():

@@ -139,3 +139,5 @@ class TestPacCertificate:
             PacCertificate(violations=5, samples=3, beta=0.1, epsilon_star=0.5)
         with pytest.raises(ValueError):
             PacCertificate(violations=1, samples=3, beta=1.5, epsilon_star=0.5)
+        with pytest.raises(ValueError, match="steps"):
+            PacCertificate(violations=1, samples=3, beta=0.1, epsilon_star=0.5, steps=0)

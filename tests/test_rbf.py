@@ -120,6 +120,8 @@ class TestFit:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             fit_rbf(np.empty((0, 2)), m=1)
+        with pytest.raises(ValueError, match="basis function"):
+            fit_rbf(np.zeros((5, 2)), m=0)
 
     @pytest.mark.parametrize("gamma", [1.0, 1.5])
     def test_width_repair_at_gamma_one_or_more_scales_every_width_alike(self, gamma):
@@ -184,6 +186,11 @@ class TestSampling:
         a = sample_uniform_rbf_with_volume(s, 100, seed=9, context=2)[0]
         b = sample_uniform_rbf_with_volume(s, 100, seed=9, context=2)[0]
         assert np.array_equal(a, b)
+
+    def test_empty_draw_rejected(self):
+        s = RBFSet(centers=[[0.0, 0.0]], widths=[1.0], gamma=GAMMA_BALL)
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_uniform_rbf_with_volume(s, 0, seed=9)
 
     def test_low_acceptance_rate_raises(self):
         # two unit bumps 1e5 apart fill about 2.4e-5 of their own bounding box

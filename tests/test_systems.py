@@ -297,6 +297,10 @@ class TestRegistry:
             CompassGaitParams(slope=-0.1)
         with pytest.raises(ValueError):
             CecParams(M=((1.0, 2.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="semidefinite"):
+            CecParams(M=((1.0, 0.0), (0.0, -1.0)))
+        with pytest.raises(ValueError, match="differ"):
+            NecParams(c1=(1.0, 2.0), c2=(1.0, 2.0))
 
     @pytest.mark.parametrize(
         "params_cls, overrides",
