@@ -10,8 +10,7 @@ dense output of that step is built on request, for the rows that ask.
 
 import numpy as np
 
-# Classic Dormand-Prince tableau (5th-order propagation, embedded 4th order).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# Dormand-Prince 5(4) tableau; an autonomous field, fun(y), needs no nodes c_i.
 _A = [
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),

@@ -17,6 +17,8 @@ import numpy as np
 
 from ._dopri import BatchStepper
 from .hybrid import (
+    _GUARD_TOL,
+    _T_MIN,
     DEFAULT_INTEGRATION,
     GuardNotReached,
     ImmediateReimpact,
@@ -135,14 +137,14 @@ class BatchHybridCallbacks:
     escape_condition: Callable[[np.ndarray], np.ndarray] = None  # (n, sd) -> bool (n,)
 
 
-def _localize(cb, options, stepper, rows, h_now, status, hit_state, hit_time):
+def _localize(cb, stepper, rows, h_now, status, hit_state, hit_time):
     """Settle the guard crossings of the last step for `rows` (h_now <= 0).
 
     A row whose step ends on the guard takes the step's end; the others take
     the Brent root of the guard along the step's dense output.  A crossing
     that is non-transversal or filtered out leaves its row running; a root
-    whose guard residual exceeds `guard_tol` (NaN included, for a failed
-    solve) fails its row.
+    whose guard residual exceeds `_GUARD_TOL` (NaN included, for a failed
+    solve) fails its row, and so does a crossing accepted before `_T_MIN`.
     """
     seg = stepper.segment(rows)
     t_root = stepper.t[rows]
@@ -152,14 +154,14 @@ def _localize(cb, options, stepper, rows, h_now, status, hit_state, hit_time):
         t_root[solve] = brentq(guard_of_t, seg.t_old[solve], t_root[solve])
     x_root = seg(t_root)
     with np.errstate(invalid="ignore"):
-        missed = ~(np.abs(cb.guard(x_root)) <= options.guard_tol)
+        missed = ~(np.abs(cb.guard(x_root)) <= _GUARD_TOL)
     met = np.flatnonzero(~missed)
     accept = cb.guard_velocity(x_root[met]) < 0.0
     if cb.event_filter is not None:
         accept &= cb.event_filter(x_root[met])
     accepted = np.zeros(rows.size, dtype=bool)
     accepted[met[accept]] = True
-    early = accepted & (t_root < options.t_min)
+    early = accepted & (t_root < _T_MIN)
     done = accepted & ~early
     status[rows[missed]] = _FAIL_LOCALIZE
     status[rows[early]] = _FAIL_REIMPACT
@@ -180,7 +182,7 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
     hit_state = np.full((n, cb.state_dim), np.nan)
     hit_time = np.full(n, np.nan)
     h_prev = cb.guard(x_plus)
-    bad = ~np.isfinite(h_prev) | (h_prev < -options.guard_tol)
+    bad = ~np.isfinite(h_prev) | (h_prev < -_GUARD_TOL)
     status[bad] = _FAIL_INVALID
 
     stepper = BatchStepper(
@@ -211,7 +213,7 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
         h_now = cb.guard(y_now)
         crossing = (h_prev[rows] > 0.0) & (h_now <= 0.0) & (status[rows] == _RUNNING)
         if crossing.any():
-            _localize(cb, options, stepper, rows[crossing], h_now[crossing], status, hit_state, hit_time)
+            _localize(cb, stepper, rows[crossing], h_now[crossing], status, hit_state, hit_time)
         still = stepper.active[rows]
         h_prev[rows[still]] = h_now[still]
         timed_out = stepper.active & (stepper.t >= options.max_flow_time)
@@ -225,11 +227,11 @@ def _flow_batch(cb: BatchHybridCallbacks, x_plus: np.ndarray, options: Integrati
 _FAILURE_MESSAGES = {
     _FAIL_TIME: (GuardNotReached, "no accepted guard crossing within the flow budget"),
     _FAIL_ESCAPE: (GuardNotReached, "trajectory escaped the operating region"),
-    _FAIL_REIMPACT: (ImmediateReimpact, "guard crossing earlier than t_min"),
+    _FAIL_REIMPACT: (ImmediateReimpact, f"guard crossing earlier than t_min = {_T_MIN:g}"),
     _FAIL_INVALID: (InvalidSectionPoint, "state is not a valid section point"),
     _FAIL_FIELD: (GuardNotReached, "no step is small enough: non-finite vector field, "
                                    "or an error test that fails at the smallest step"),
-    _FAIL_LOCALIZE: (GuardNotReached, "guard crossing could not be localized to guard_tol"),
+    _FAIL_LOCALIZE: (GuardNotReached, f"guard crossing could not be localized to {_GUARD_TOL:g}"),
 }
 
 
@@ -243,7 +245,7 @@ def integrate_to_guard(
 ):
     """Flow from the one state `x_plus` to the next accepted guard crossing.
 
-    Returns (x_minus, T) with |h(x_minus)| < guard_tol and hdot(x_minus) < 0.
+    Returns (x_minus, T): |h(x_minus)| <= `_GUARD_TOL` and hdot(x_minus) < 0.
     Crossings that are non-transversal or rejected by the event filter are
     skipped and the flow continues.
 
@@ -251,8 +253,8 @@ def integrate_to_guard(
     escapes, `x_plus` lies outside the domain, no step is small enough to
     pass the error test (a non-finite vector field on the way, or an error
     test that fails at the smallest step) or a crossing cannot be localized
-    to guard_tol (a NaN guard value, or no sign change on the interpolant),
-    and ImmediateReimpact for an accepted crossing before t_min.
+    to `_GUARD_TOL` (a NaN guard value, or no sign change on the interpolant),
+    and ImmediateReimpact for an accepted crossing before `_T_MIN` = 1e-6.
     """
     states, times, status = _flow_batch(cb, np.asarray(x_plus, dtype=float)[None, :], options)
     if status[0] == _FAIL_INVALID:

@@ -254,6 +254,7 @@ def _set_from_payload(payload: dict):
     cls = _SET_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown invariant set type {kind!r}")
+    _checked("invariant_set", _numbers, {k: v for k, v in payload.items() if k != "type"})
     return _checked("invariant_set", cls.from_dict, payload)
 
 

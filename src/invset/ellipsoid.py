@@ -6,7 +6,6 @@ is ``V_dim / det(A)`` where ``V_dim`` is the unit-ball volume.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,6 +16,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .rng import fresh_state, rewind, sample_stream
 
 _SYMMETRY_TOL = 1e-10
+_MVEE_TOL = 1e-7  # duality-gap tolerance of the MVEE solve
+_MVEE_MAX_ITERS = 100_000  # Newton-step cap of the MVEE solve
 
 
 class DegenerateCloudWarning(RuntimeWarning):
@@ -24,7 +25,7 @@ class DegenerateCloudWarning(RuntimeWarning):
 
 
 class MveeConvergenceWarning(RuntimeWarning):
-    """The MVEE solver hit `max_iters` before its duality-gap test passed; the
+    """The MVEE solve hit `_MVEE_MAX_ITERS` before its gap test passed; the
     returned cover still contains every input but may be too large."""
 
 
@@ -167,7 +168,7 @@ def _core_set(points: np.ndarray) -> np.ndarray:
     return active
 
 
-def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
+def _newton_weights(points: np.ndarray):
     """Active-set Newton ascent on the dual of the minimum-volume cover.
 
     Maximizes log det V(u), V(u) = sum_j u_j q_j q_j^T over the lifted points
@@ -175,11 +176,11 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     the core set (`_core_set`).  Each step solves the Newton KKT system on
     the active set S.  A ratio test keeps u >= 0, and the point that blocks
     the step leaves S; outside the quadratic region the step is damped by
-    1 / (1 + lambda), lambda^2 being the Newton decrement.
-    Once the step is negligible, the point of largest leverage
-    kappa_j = q_j^T V^{-1} q_j joins S, unless max kappa <= (1 + tol) m,
-    which bounds the duality gap and stops.  Returns the weights and the gap
-    max kappa / m - 1 reached, for a cloud `mvee` found full-dimensional.
+    1 / (1 + lambda), lambda^2 being the Newton decrement.  Once the step is
+    negligible, the point of largest leverage kappa_j = q_j^T V^{-1} q_j
+    joins S, unless max kappa <= (1 + _MVEE_TOL) m, which bounds the duality
+    gap and stops (so does step `_MVEE_MAX_ITERS`).  Returns the weights and
+    the gap max kappa / m - 1, for a cloud `mvee` found full-dimensional.
 
     The KKT system is never formed.  With V = L L^T and z_j = L^{-1} q_j, the
     Hessian on S is -(G o G) = -psi psi^T, G = Z_S Z_S^T, where row j of psi
@@ -195,7 +196,7 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     svec_eye = (rows == cols).astype(float)  # psi @ svec_eye = kappa_S
     active = _core_set(points)
     u = active / active.sum()
-    for step in range(max_iters + 1):
+    for step in range(_MVEE_MAX_ITERS + 1):
         L = np.linalg.cholesky(q.T @ (q * u[:, None]))
         inv_lt = np.linalg.inv(L).T
         S = np.flatnonzero(active)
@@ -211,13 +212,13 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
         c -= (g @ c) / (g @ g) * g
         du = U[:, keep] @ (c / sig[keep])
         lam2 = float(c @ c)
-        negligible = lam2 <= tol * tol
-        if negligible or step == max_iters:
+        negligible = lam2 <= _MVEE_TOL * _MVEE_TOL
+        if negligible or step == _MVEE_MAX_ITERS:
             # the leverage of every point is read only here
             z = q @ inv_lt
             kappa = np.einsum("ij,ij->i", z, z)
             gap = kappa.max() / m - 1.0
-            if gap <= tol or step == max_iters:
+            if gap <= _MVEE_TOL or step == _MVEE_MAX_ITERS:
                 break
             j = int(np.argmax(kappa))
             if not active[j]:
@@ -239,24 +240,24 @@ def _newton_weights(points: np.ndarray, tol: float, max_iters: int):
     return u, gap
 
 
-def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
+def mvee(points) -> Ellipsoid:
     """Minimum-volume ellipsoid enclosing `points`.
 
     Every input satisfies ||A p - b|| <= 1 exactly (the raw iterate is
     rescaled by the worst residual).  The dual weights are solved by an
     active-set Newton method, started from a core set of at most 2d extreme
     points (Kumar & Yildirim 2005), that stops on the duality gap: every
-    lifted leverage is at most (1 + tol)(d + 1), which puts the volume within
-    a factor (1 + tol (d + 1) / d)^(d / 2), about 1 + tol (d + 1) / 2, of
-    optimal.  `max_iters` caps the Newton steps; a solve that hits it before
-    the gap test passes is reported via MveeConvergenceWarning, with the gap
-    reached.  The one degeneracy rule, decided before the solve so that a
-    translation cannot move it: with w the eigenvalues of the scatter about
-    the mean, a cloud with min w <= ridge = max(1e-9 mean(w), tiny) gets
-    the scatter plus ridge I instead and a DegenerateCloudWarning.  The floor,
-    the smallest normal float, binds only for coincident points or a cloud
-    whose scatter underflows.  A finite cloud whose scatter overflows raises
-    ValueError.
+    lifted leverage is at most (1 + tol)(d + 1), tol = `_MVEE_TOL` = 1e-7,
+    which puts the volume within a factor (1 + tol (d + 1) / d)^(d / 2),
+    about 1 + tol (d + 1) / 2, of optimal.  `_MVEE_MAX_ITERS` = 100 000 caps
+    the Newton steps; a solve that hits it before the gap test passes is
+    reported via MveeConvergenceWarning, with the gap reached.  The one
+    degeneracy rule, decided before the solve so that a translation cannot
+    move it: with w the eigenvalues of the scatter about the mean, a cloud
+    with min w <= ridge = max(1e-9 mean(w), tiny) gets the scatter plus
+    ridge I instead and a DegenerateCloudWarning.  The floor, the smallest
+    normal float, binds only for coincident points or a cloud whose scatter
+    underflows.  A finite cloud whose scatter overflows raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -264,10 +265,6 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
     if not np.all(np.isfinite(pts)):
         raise ValueError("mvee requires finite points")
     n, d = pts.shape
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         origin = pts.mean(axis=0)
@@ -283,7 +280,7 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
         center = origin
         w = np.maximum(w, 0.0) + ridge
     else:
-        u, gap = _newton_weights(centered, tol, max_iters)
+        u, gap = _newton_weights(centered)
         mean = u @ centered
         cov = centered.T @ (centered * u[:, None]) - np.outer(mean, mean)
         w, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
@@ -304,10 +301,10 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 100_000) -> Ellipsoid:
             DegenerateCloudWarning,
             stacklevel=2,
         )
-    elif gap > tol:
+    elif gap > _MVEE_TOL:
         warnings.warn(
-            f"MVEE solver stopped after {max_iters} Newton steps at duality gap "
-            f"{gap:.3g} > tol = {tol:g}; the cover was rescaled to contain every input",
+            f"MVEE solver stopped after {_MVEE_MAX_ITERS} Newton steps at duality gap "
+            f"{gap:.3g} > tol = {_MVEE_TOL:g}; the cover was rescaled to contain every input",
             MveeConvergenceWarning,
             stacklevel=2,
         )

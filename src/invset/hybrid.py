@@ -21,6 +21,7 @@ from .ellipsoid import Ellipsoid
 
 _TIGHTEN_FACTOR = 1e-2  # tolerance scale of IntegrationOptions.tightened
 _FD_WARN_TOL = 1e-3  # forward/central Jacobian disagreement that warns
+_FIXED_POINT_ITERS = 200  # Newton or damped steps of find_fixed_point
 # cond(V) of J = V diag(w) V^-1 beyond which Re(V^-H V^-1) keeps no digit
 _MAX_EIGENBASIS_COND = 1.0 / math.sqrt(np.finfo(float).eps)
 
@@ -34,7 +35,7 @@ class GuardNotReached(PoincareEvaluationError):
 
 
 class ImmediateReimpact(PoincareEvaluationError):
-    """Accepted guard crossing earlier than t_min (grazing or degenerate contact)."""
+    """Accepted guard crossing earlier than `_T_MIN` (grazing or degenerate contact)."""
 
 
 class InvalidSectionPoint(PoincareEvaluationError):
@@ -54,18 +55,21 @@ class FiniteDifferenceWarning(RuntimeWarning):
     """Forward and central difference estimates disagree beyond tolerance."""
 
 
+_GUARD_TOL = 1e-10  # guard residual to which a crossing is localized
+_T_MIN = 1e-6  # earliest flow time at which a crossing is accepted
+
+
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Adaptive-step integration and event-localization settings.
+    """Adaptive-step integration settings; max_flow_time must exceed `_T_MIN`.
 
     `method` names the Runge-Kutta pair; the only one is "rk45", the
-    Dormand-Prince 5(4) pair of the batched engine.
+    Dormand-Prince 5(4) pair of the batched engine.  Event localization has
+    no settings: the constants `_GUARD_TOL` = 1e-10 and `_T_MIN` = 1e-6.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    guard_tol: float = 1e-10
-    t_min: float = 1e-6
     max_flow_time: float = 10.0
     method: str = "rk45"
 
@@ -74,14 +78,10 @@ class IntegrationOptions:
             raise ValueError(f"unknown integration method {self.method!r} (only 'rk45')")
         # the chained comparisons are False for NaN, which would stall the
         # step-size control at its minimum step
-        positive = (self.rel_tol, self.abs_tol, self.guard_tol, self.max_flow_time)
-        if not all(0.0 < x < math.inf for x in positive):
-            raise ValueError(
-                "rel_tol, abs_tol, guard_tol and max_flow_time must be finite and positive"
-            )
-        if not 0.0 <= self.t_min < self.max_flow_time:
-            # a crossing is accepted only in [t_min, max_flow_time]
-            raise ValueError("t_min must be >= 0 and below max_flow_time")
+        if not all(0.0 < x < math.inf for x in (self.rel_tol, self.abs_tol)):
+            raise ValueError("rel_tol and abs_tol must be finite and positive")
+        if not _T_MIN < self.max_flow_time < math.inf:
+            raise ValueError(f"max_flow_time must be finite and above t_min = {_T_MIN:g}")
 
     def tightened(self) -> "IntegrationOptions":
         """Stricter copy used for fixed-point and Jacobian computations."""
@@ -136,21 +136,18 @@ class PoincareMap:
         return cls(reduced_dim, evaluator, lambda points: checked_rows(fn(points)))
 
 
-def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True) -> np.ndarray:
+def fd_jacobian(pmap, y_star, *, f0=None, check: bool = True) -> np.ndarray:
     """Finite-difference Jacobian at `y_star` from one `pmap` call on a stack of points.
 
-    Column j is the forward difference along basis vector e_j.  With
-    `check=True` a central-difference companion is formed and a
-    FiniteDifferenceWarning is emitted if the two disagree by more than
-    `_FD_WARN_TOL` in relative norm (simulation noise from event localization
-    limits the attainable accuracy).
+    Column j is the forward difference along basis vector e_j, with the step
+    1e-6 max(1, ||y_star||).  With `check=True` a central-difference
+    companion is formed and a FiniteDifferenceWarning is emitted if the two
+    disagree by more than `_FD_WARN_TOL` in relative norm (simulation noise
+    from event localization limits the attainable accuracy).
     """
     y = np.asarray(y_star, dtype=float)
     n = y.size
-    if eps is None:
-        eps = 1e-6 * max(1.0, float(np.linalg.norm(y)))
-    elif not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    eps = 1e-6 * max(1.0, float(np.linalg.norm(y)))
     steps = eps * np.eye(n)
     stack = [y + steps] + ([y - steps] if check else []) + ([y[None]] if f0 is None else [])
     images = np.asarray(pmap(np.concatenate(stack)), dtype=float)
@@ -162,14 +159,14 @@ def fd_jacobian(pmap, y_star, eps: float = None, *, f0=None, check: bool = True)
         if float(np.linalg.norm(forward - central)) > _FD_WARN_TOL * scale:
             warnings.warn(
                 "forward and central difference Jacobians disagree; "
-                "consider tightening integration tolerances or adjusting eps",
+                "consider tightening integration tolerances",
                 FiniteDifferenceWarning,
                 stacklevel=2,
             )
     return forward
 
 
-def find_fixed_point(pmap, y0, tol: float = 1e-10, max_iters: int = 200) -> np.ndarray:
+def find_fixed_point(pmap, y0, tol: float = 1e-10) -> np.ndarray:
     """Fixed point y* with ||P(y*) - y*|| < tol.
 
     A short damped relaxation first steers the iterate into the basin of the
@@ -177,7 +174,7 @@ def find_fixed_point(pmap, y0, tol: float = 1e-10, max_iters: int = 200) -> np.n
     P(y) - y that plain Newton would lock onto); Newton iteration on
     g(y) = P(y) - y with a forward-difference Jacobian then polishes, again
     falling back to damped steps whenever a Newton step fails or does not
-    reduce the residual.
+    reduce the residual, for at most `_FIXED_POINT_ITERS` = 200 steps.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -203,7 +200,7 @@ def find_fixed_point(pmap, y0, tol: float = 1e-10, max_iters: int = 200) -> np.n
             break  # damping makes no progress; go straight to Newton
         y, fy, residual = candidate
     identity = np.eye(y.size)
-    for _ in range(max_iters):
+    for _ in range(_FIXED_POINT_ITERS):
         if residual < tol:
             return y
         g = fy - y
@@ -220,7 +217,7 @@ def find_fixed_point(pmap, y0, tol: float = 1e-10, max_iters: int = 200) -> np.n
         except PoincareEvaluationError as exc:
             raise NoConvergence(f"damped iteration left the map's domain: {exc}") from exc
     raise NoConvergence(
-        f"no fixed point within {max_iters} iterations (residual {residual:.3e})"
+        f"no fixed point within {_FIXED_POINT_ITERS} iterations (residual {residual:.3e})"
     )
 
 

@@ -101,11 +101,14 @@ class RBFSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RBFSet":
-        return cls(
+        rbf = cls(
             centers=np.asarray(data["centers"], dtype=float),
             widths=np.asarray(data["widths"], dtype=float),
             gamma=float(data["gamma"]),
         )
+        if type(data["m"]) is not int or data["m"] != rbf.m:
+            raise ValueError(f"m must be the number of centers, {rbf.m}, got {data['m']!r}")
+        return rbf
 
 
 def _farthest_point_seeding(points: np.ndarray, m: int, gamma: float):

@@ -331,6 +331,19 @@ class TestEvaluateMap:
         assert ok.all()  # pure drift never fails, but check magnitudes
         assert np.allclose(out, 300.0)
 
+    def test_stops_once_every_row_has_failed(self):
+        failing = PoincareMap.from_function(lambda y: np.full_like(y, np.nan), 2)
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return failing.batch_evaluator(points)
+
+        pm = dataclasses.replace(failing, batch_evaluator=counted)
+        out, ok = evaluate_map(pm, np.zeros((4, 2)), k=3)
+        assert calls == [4]
+        assert not ok.any() and np.isnan(out).all()
+
 
 def _negate(y):
     return -y

@@ -82,6 +82,15 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "config error: unknown key(s) ['k_max'] in config\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["guard_tol", "t_min"])
+    def test_event_localization_keys_are_unknown(self, tmp_path, capsys, key):
+        # both are constants of the engine (hybrid._GUARD_TOL and hybrid._T_MIN)
+        file = write_config(tmp_path, integration={key: 1e-6})
+        assert main(["run", str(file)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.integration:") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_beta_exits_one(self, tmp_path, capsys):
         file = write_config(tmp_path, beta=1.5)
         assert main(["run", str(file)]) == EXIT_ERROR
@@ -156,7 +165,7 @@ class TestConfigValidation:
             {"rbf": {"gamma": True}},
             {"init": {"mode": "explicit", "ellipsoid": {**CEC_INIT["ellipsoid"], "dim": "2"}}},
             {"init": {"mode": "explicit", "ellipsoid": {**CEC_INIT["ellipsoid"], "dim": 2.9}}},
-            {"integration": {"t_min": 6.0, "max_flow_time": 5.0}},
+            {"integration": {"max_flow_time": 1e-7}},
             {"system": "nec", "system_params": [["r", 0.5]]},
             {"integration": []},
             {"rbf": [["m", 3]]},
@@ -170,7 +179,7 @@ class TestConfigValidation:
             "eps_target-string", "representation-unknown", "max_iters-zero",
             "init.r-string", "init.fixed_point_seed-strings", "system_params-strings",
             "integration.rel_tol-bool", "rbf.gamma-bool", "init.ellipsoid-dim-string",
-            "init.ellipsoid-dim-float", "integration.t_min-above-max_flow_time",
+            "init.ellipsoid-dim-float", "integration.max_flow_time-below-t_min",
             "system_params-list", "integration-list", "rbf-list", "init-list",
         ],
     )
@@ -352,6 +361,14 @@ class TestRunCommand:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["termination"] == "budget"
 
+    def test_contraction_init_records_the_fixed_point(self, tmp_path):
+        init = {"mode": "contraction", "r": 2.0}
+        file = write_config(tmp_path, system="nec", N=200, max_iters=3, init=init)
+        assert main(["run", str(file)]) == EXIT_BUDGET
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["fixed_point"] == [-0.6, 0.0]
+        np.testing.assert_allclose(result["floquet_magnitudes"], [0.5, 0.5], rtol=0, atol=1e-8)
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INVSET_OUTPUT_ROOT", str(tmp_path / "root"))
         file = write_config(tmp_path, output_dir="rel/run1")
@@ -458,23 +475,30 @@ class TestVerifyCommand:
         [
             lambda s: s.pop("A"),
             lambda s: s.update(A=[1.0, 0.0, 1.0]),
-            lambda s: s.update(type="rbf", centers=[[1.0, 1.0]], widths=[1.0], gamma=1.5),
-            lambda s: s.update(type="rbf", centers=[[1.0, 1.0]], gamma=0.5),
+            lambda s: s.update(type="rbf", m=1, centers=[[1.0, 1.0]], widths=[1.0], gamma=1.5),
+            lambda s: s.update(type="rbf", m=1, centers=[[1.0, 1.0]], gamma=0.5),
             lambda s: s.update(dim=1, A=[1.0], b=[0.0]),
             lambda s: s.update(
-                type="rbf", centers=[[0.0, 0.0], [0.5, 0.0]], widths=[math.nan, 1.0], gamma=0.5
+                type="rbf", m=2, centers=[[0.0, 0.0], [0.5, 0.0]], widths=[math.nan, 1.0], gamma=0.5
             ),
             lambda s: s.update(
-                type="rbf", centers=[[0.0, 0.0], [0.5, 0.0]], widths=[math.inf, 1.0], gamma=0.5
+                type="rbf", m=2, centers=[[0.0, 0.0], [0.5, 0.0]], widths=[math.inf, 1.0], gamma=0.5
             ),
             lambda s: s.update(
-                type="rbf", centers=[[math.nan, 0.0], [0.5, 0.0]], widths=[1.0, 1.0], gamma=0.5
+                type="rbf", m=2, centers=[[math.nan, 0.0], [0.5, 0.0]], widths=[1.0, 1.0], gamma=0.5
             ),
             lambda s: s.update(type=["ellipsoid"]),
+            lambda s: s.update(A=[str(v) for v in s["A"]]),
+            lambda s: s.update(b=[True, *s["b"][1:]]),
+            lambda s: s.update(
+                type="rbf", m=2, centers=[[0.0, 0.0], [0.5, 0.0]], widths=[1.0, 1.0], gamma="0.5"
+            ),
+            lambda s: s.update(type="rbf", m=7, centers=[[0.0, 0.0]], widths=[1.0], gamma=0.5),
         ],
         ids=[
             "no-A", "A-of-3", "rbf-gamma-above-m", "rbf-no-widths", "dim-1",
             "rbf-nan-width", "rbf-inf-width", "rbf-nan-center", "type-not-a-string",
+            "A-strings", "b-bool", "rbf-gamma-string", "rbf-wrong-m",
         ],
     )
     def test_malformed_invariant_set_is_a_config_error(self, tmp_path, capsys, edit):

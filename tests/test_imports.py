@@ -1,7 +1,9 @@
-"""Every imported name is read: an AST scan of the package and its tests.
+"""Every imported name is read, and so is every private module-level name
+of the package: AST scans of the package and its tests.
 
-No linter ships with the toolchain, so a deletion that leaves its import
-behind is caught here.  A name listed in a module's `__all__` counts as read.
+No linter ships with the toolchain, so a deletion that leaves its import or
+its helper behind is caught here.  A name listed in a module's `__all__`
+counts as read.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "invset").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "invset").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -41,3 +44,41 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == [], f"{path.relative_to(ROOT)} imports names it never reads"
+
+
+def unread_private_names(sources: dict) -> list:
+    """'module: name' for each module-level `_name` bound in one of `sources`
+    (module name -> source) and read in none of them (sorted)."""
+    bound = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                names = []
+            bound += [(module, name) for name in names if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}: {name}" for module, name in bound if name not in read)
+
+
+def test_scan_sees_an_unread_private_name():
+    sources = {
+        "a": "_X = 1\n(_Y, _Z) = range(2)\ndef _f():\n    return _Y\n__all__ = []\n",
+        "b": "from a import _Z\nprint(_Z, a._X)\n",
+    }
+    assert unread_private_names(sources) == ["a: _f"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert unread_private_names(sources) == [], "private module-level names that nothing reads"

@@ -119,18 +119,6 @@ class TestContracts:
         with pytest.raises(ValueError, match="overflow"):
             mvee(np.random.default_rng(0).standard_normal((50, 2)) * 1e160)
 
-    @pytest.mark.parametrize(
-        "setting",
-        [{"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_iters": -1}, {"max_iters": 2.5}],
-        ids=["tol-0", "tol-nan", "tol-inf", "max_iters-negative", "max_iters-float"],
-    )
-    def test_rejects_bad_solver_settings(self, setting):
-        # a NaN tol would never pass the gap test; a negative cap would leave no gap
-        (name,) = setting
-        pts = np.random.default_rng(0).standard_normal((50, 3))
-        with pytest.raises(ValueError, match=name):
-            mvee(pts, **setting)
-
     def test_degenerate_cloud_is_regularized_and_flagged(self):
         line = np.column_stack([np.linspace(-1, 1, 40), np.zeros(40)])
         # scatter eigenvalues in ratio 1e-10, at the origin and shifted by 10

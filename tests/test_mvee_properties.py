@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from invset import ellipsoid
 from invset.ellipsoid import Ellipsoid, MveeConvergenceWarning, mvee
 
 CONTACT = 1.0 - 1e-6  # |z| at or above this counts as a contact point
@@ -89,13 +90,15 @@ def test_john_check_rejects_a_slightly_suboptimal_cover(cloud):
     assert john_residual(shifted, cloud) > 1e-2
 
 
-def test_john_check_rejects_a_loose_tolerance(cloud):
-    assert john_residual(mvee(cloud, tol=1e-2), cloud) > 1e-2
+def test_john_check_rejects_a_loose_tolerance(cloud, monkeypatch):
+    monkeypatch.setattr(ellipsoid, "_MVEE_TOL", 1e-2)
+    assert john_residual(mvee(cloud), cloud) > 1e-2
 
 
-def test_iteration_cap_warns_and_still_contains(cloud):
+def test_iteration_cap_warns_and_still_contains(cloud, monkeypatch):
+    monkeypatch.setattr(ellipsoid, "_MVEE_MAX_ITERS", 1)
     with pytest.warns(MveeConvergenceWarning, match="duality gap"):
-        E = mvee(cloud, max_iters=1)
+        E = mvee(cloud)
     assert residuals(E, cloud).max() <= 1.0 + 1e-12
 
 

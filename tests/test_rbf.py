@@ -205,6 +205,12 @@ class TestSampling:
         assert np.array_equal(back.widths, s.widths)
         assert back.gamma == s.gamma
 
+    @pytest.mark.parametrize("m", [1, 3, 2.0, True], ids=["fewer", "more", "float", "bool"])
+    def test_from_dict_rejects_an_m_that_does_not_count_the_centers(self, m):
+        data = RBFSet(centers=[[0.1, 0.2], [-0.3, 0.4]], widths=[0.5, 0.6], gamma=0.25).to_dict()
+        with pytest.raises(ValueError, match="number of centers"):
+            RBFSet.from_dict({**data, "m": m})
+
 
 def _cube_penalty_value_grad(centers, widths, points, gamma, weight):
     # reference: the penalty summed over the (m, n, dim) offset cube
